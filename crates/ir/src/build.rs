@@ -98,8 +98,7 @@ struct Builder<'a> {
 
 impl<'a> Builder<'a> {
     fn new(bc: &'a Function, rt: &'a mut Runtime) -> Result<Self, BuildError> {
-        let profile = rt.profiles.func(bc.id);
-        let mut sites = profile.sites.clone();
+        let mut sites = rt.profiles.func_ref(bc.id).map(|p| p.sites.clone()).unwrap_or_default();
         sites.resize_with(bc.site_count as usize, SiteProfile::default);
         let f = IrFunc::new(bc.id, bc.name.clone(), bc.param_count, bc.register_count);
         Ok(Builder {

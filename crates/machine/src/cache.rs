@@ -37,16 +37,28 @@ impl CacheConfig {
 
     /// Set index of a byte address.
     pub fn set_of(&self, byte_addr: u64) -> u64 {
-        (byte_addr / self.line_bytes) % self.sets()
+        self.line_of(byte_addr) & (self.sets() - 1)
     }
 
     /// Line (tag) address of a byte address.
     pub fn line_of(&self, byte_addr: u64) -> u64 {
-        byte_addr / self.line_bytes
+        byte_addr >> self.line_bytes.trailing_zeros()
+    }
+
+    /// Panics unless the line size, associativity and set count are all
+    /// powers of two — the shift/mask address split relies on it.
+    fn assert_power_of_two(&self) {
+        assert!(
+            self.line_bytes.is_power_of_two()
+                && self.ways.is_power_of_two()
+                && self.sets().is_power_of_two()
+                && self.sets() * self.line_bytes * self.ways as u64 == self.size_bytes,
+            "cache geometry must be powers of two: {self:?}"
+        );
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -65,19 +77,39 @@ pub enum AccessOutcome {
     Memory,
 }
 
-/// One cache level.
+/// One cache level: `sets × ways` lines in one flat array (set `s` holds
+/// `lines[s * ways..(s + 1) * ways]`).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    ways: usize,
+    line_shift: u32,
+    set_mask: u64,
+    /// Indices of the lines whose SW bit went from clear to set since the
+    /// last flash clear: every line with its SW bit set is listed (a
+    /// refilled way may be listed twice), so clearing these clears all.
+    sw_marked: Vec<u32>,
     tick: u64,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// When the geometry is not all powers of two.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = (0..cfg.sets()).map(|_| vec![Line::default(); cfg.ways as usize]).collect();
-        Cache { cfg, sets, tick: 0 }
+        cfg.assert_power_of_two();
+        Cache {
+            cfg,
+            lines: vec![Line::default(); (cfg.sets() * cfg.ways as u64) as usize],
+            ways: cfg.ways as usize,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: cfg.sets() - 1,
+            sw_marked: Vec::new(),
+            tick: 0,
+        }
     }
 
     /// Looks up `byte_addr`, filling on miss. Returns `(hit, evicted_sw)`
@@ -85,12 +117,16 @@ impl Cache {
     /// evicted (a capacity condition for HTM).
     pub fn access(&mut self, byte_addr: u64, mark_sw: bool) -> (bool, bool) {
         self.tick += 1;
-        let set = self.cfg.set_of(byte_addr) as usize;
-        let tag = self.cfg.line_of(byte_addr);
-        let lines = &mut self.sets[set];
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+        let tag = byte_addr >> self.line_shift;
+        let first = (tag & self.set_mask) as usize * self.ways;
+        let lines = &mut self.lines[first..first + self.ways];
+        if let Some(way) = lines.iter().position(|l| l.valid && l.tag == tag) {
+            let line = &mut lines[way];
             line.lru = self.tick;
-            line.sw |= mark_sw;
+            if mark_sw && !line.sw {
+                line.sw = true;
+                self.sw_marked.push((first + way) as u32);
+            }
             return (true, false);
         }
         // Miss: choose a victim. Prefer invalid, then non-SW LRU, then SW
@@ -111,22 +147,24 @@ impl Cache {
         };
         let evicted_sw = lines[victim].valid && lines[victim].sw;
         lines[victim] = Line { tag, valid: true, sw: mark_sw, lru: self.tick };
+        if mark_sw {
+            self.sw_marked.push((first + victim) as u32);
+        }
         (false, evicted_sw)
     }
 
     /// Flash-clears all SW bits (commit/abort; a few cycles in hardware,
-    /// paper §VI-A1).
+    /// paper §VI-A1). Only the lines marked since the last clear are
+    /// visited.
     pub fn flash_clear_sw(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.sw = false;
-            }
+        for i in self.sw_marked.drain(..) {
+            self.lines[i as usize].sw = false;
         }
     }
 
     /// Number of lines currently marked speculative.
     pub fn sw_line_count(&self) -> u64 {
-        self.sets.iter().flatten().filter(|l| l.valid && l.sw).count() as u64
+        self.lines.iter().filter(|l| l.valid && l.sw).count() as u64
     }
 
     /// Geometry.
@@ -273,6 +311,66 @@ mod tests {
         assert_eq!(c.sw_line_count(), 1);
         c.flash_clear_sw();
         assert_eq!(c.sw_line_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_geometry_is_rejected() {
+        Cache::new(CacheConfig { size_bytes: 3 * 64, ways: 3, line_bytes: 64 });
+    }
+
+    /// Deterministic splitmix64 stream for the flash-clear property test.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The tracked flash clear leaves every line exactly as a sweep of all
+    /// lines would, over random access sequences with commits and aborts —
+    /// including SW lines evicted and refilled between clears.
+    #[test]
+    fn tracked_flash_clear_matches_full_sweep() {
+        let small = CacheConfig { size_bytes: 4 * 2 * 64, ways: 2, line_bytes: 64 };
+        for seed in 0..48u64 {
+            let mut rng = seed;
+            let cfg = if seed % 2 == 0 { small } else { CacheConfig::l1d() };
+            let span = cfg.size_bytes * 3;
+            let mut tracked = Cache::new(cfg);
+            let mut swept = Cache::new(cfg);
+            let mut in_tx = false;
+            for step in 0..2000 {
+                match splitmix64(&mut rng) % 16 {
+                    0 => in_tx = !in_tx,
+                    // Commit or abort: both flash-clear.
+                    1 if in_tx => {
+                        tracked.flash_clear_sw();
+                        for line in &mut swept.lines {
+                            line.sw = false;
+                        }
+                        assert_eq!(tracked.lines, swept.lines, "seed {seed} step {step}");
+                        in_tx = false;
+                    }
+                    _ => {
+                        let addr = splitmix64(&mut rng) % span;
+                        let mark = in_tx && splitmix64(&mut rng).is_multiple_of(2);
+                        assert_eq!(
+                            tracked.access(addr, mark),
+                            swept.access(addr, mark),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                }
+            }
+            tracked.flash_clear_sw();
+            for line in &mut swept.lines {
+                line.sw = false;
+            }
+            assert_eq!(tracked.lines, swept.lines, "seed {seed}");
+            assert_eq!(tracked.sw_line_count(), 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -335,6 +335,62 @@ impl MachInst {
         )
     }
 
+    /// True when the instruction only reads and writes registers, flags and
+    /// the pc: it touches no simulated memory, calls nothing, checks
+    /// nothing, neither begins nor ends a transaction and does not return.
+    /// Nothing such an instruction does can change the transaction state,
+    /// call depth or profiler context that instruction accounting reads, or
+    /// read a cycle count, so the executor accounts a run of them in one
+    /// batch, flushed before the next instruction outside this set.
+    pub fn is_register_only(&self) -> bool {
+        match self {
+            MachInst::MovImm { .. }
+            | MachInst::Mov { .. }
+            | MachInst::Alu64 { .. }
+            | MachInst::Alu64Imm { .. }
+            | MachInst::AddI32 { .. }
+            | MachInst::SubI32 { .. }
+            | MachInst::MulI32 { .. }
+            | MachInst::NegI32 { .. }
+            | MachInst::FAlu { .. }
+            | MachInst::FNeg { .. }
+            | MachInst::CvtI32ToF64 { .. }
+            | MachInst::CvtF64ToI32 { .. }
+            | MachInst::UnboxI32 { .. }
+            | MachInst::ToF64 { .. }
+            | MachInst::BoxI32 { .. }
+            | MachInst::BoxF64 { .. }
+            | MachInst::BoxBool { .. }
+            | MachInst::IAlu32 { .. }
+            | MachInst::UShr32 { .. }
+            | MachInst::CmpI64 { .. }
+            | MachInst::CmpImm { .. }
+            | MachInst::CmpF64 { .. }
+            | MachInst::Jump { .. }
+            | MachInst::BranchNz { .. }
+            | MachInst::BranchZ { .. }
+            | MachInst::Fence
+            | MachInst::Nop => true,
+            // Transcendentals charge a libm call as runtime work.
+            MachInst::MathF64 { .. }
+            | MachInst::Load { .. }
+            | MachInst::Store { .. }
+            | MachInst::LoadIdx { .. }
+            | MachInst::StoreIdx { .. }
+            | MachInst::LoadGlobal { .. }
+            | MachInst::StoreGlobal { .. }
+            | MachInst::CallRt { .. }
+            | MachInst::CallJs { .. }
+            | MachInst::Ret { .. }
+            | MachInst::DeoptIf { .. }
+            | MachInst::DeoptIfOverflow { .. }
+            | MachInst::AbortIf { .. }
+            | MachInst::AbortIfOverflow
+            | MachInst::XBegin { .. }
+            | MachInst::XEnd => false,
+        }
+    }
+
     /// The check's category, if this is a guard.
     pub fn check_kind(&self) -> Option<CheckKind> {
         match self {
@@ -387,6 +443,19 @@ mod tests {
         assert_eq!(g.check_kind(), Some(CheckKind::Bounds));
         assert_eq!(MachInst::AbortIfOverflow.check_kind(), Some(CheckKind::Overflow));
         assert!(!MachInst::Nop.is_check());
+    }
+
+    #[test]
+    fn register_only_excludes_memory_control_and_transactions() {
+        assert!(MachInst::Mov { dst: MReg(0), src: MReg(1) }.is_register_only());
+        assert!(MachInst::BranchZ { cond: MReg(0), target: Label(0) }.is_register_only());
+        assert!(!MachInst::Load { dst: MReg(0), base: MReg(1), offset: 0 }.is_register_only());
+        assert!(
+            !MachInst::CallJs { dst: MReg(0), callee: FuncId(0), args: vec![] }.is_register_only()
+        );
+        assert!(!MachInst::Ret { src: MReg(0) }.is_register_only());
+        assert!(!MachInst::AbortIfOverflow.is_register_only());
+        assert!(!MachInst::XEnd.is_register_only());
     }
 
     #[test]

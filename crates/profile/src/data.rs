@@ -89,10 +89,10 @@ impl ProfileData {
         }
     }
 
-    /// Records one executed check of `kind` in `func`.
+    /// Records `n` executed checks of `kind` in `func`.
     #[inline]
-    pub fn record_check(&mut self, func: u32, kind: CheckKind) {
-        *self.checks.entry((func, kind)).or_insert(0) += 1;
+    pub fn record_checks(&mut self, func: u32, kind: CheckKind, n: u64) {
+        *self.checks.entry((func, kind)).or_insert(0) += n;
     }
 
     /// Records one taken deoptimization at (func, smp).
@@ -193,7 +193,7 @@ mod tests {
         let mut p = ProfileData::new();
         p.charge(RegionKey { func: 0, tier: Tier::Ftl, kind: RegionKind::TxnBody }, 100);
         p.record_insts(0, Tier::Ftl, 80);
-        p.record_check(0, CheckKind::Bounds);
+        p.record_checks(0, CheckKind::Bounds, 1);
         p.record_deopt(0, 3, 12, CheckKind::Type);
         p.record_abort(0, AbortReason::Capacity, 4096);
         p

@@ -302,8 +302,7 @@ mod tests {
         d.charge(RegionKey { func: 0, tier: Tier::Baseline, kind: RegionKind::TxnRetryLadder }, 80);
         d.charge(RegionKey { func: 1, tier: Tier::Interpreter, kind: RegionKind::Main }, 20);
         d.record_insts(0, Tier::Ftl, 500);
-        d.record_check(0, CheckKind::Bounds);
-        d.record_check(0, CheckKind::Bounds);
+        d.record_checks(0, CheckKind::Bounds, 2);
         d.record_deopt(0, 7, 42, CheckKind::Type);
         d.record_abort(0, AbortReason::Capacity, 4096);
         let mut names = BTreeMap::new();

@@ -171,11 +171,6 @@ impl ProfileStore {
         &mut self.funcs[f.0 as usize]
     }
 
-    /// Profile for `f` (empty default if never touched).
-    pub fn func(&self, f: FuncId) -> FunctionProfile {
-        self.funcs.get(f.0 as usize).cloned().unwrap_or_default()
-    }
-
     /// Shared view of `f`'s profile, if present.
     pub fn func_ref(&self, f: FuncId) -> Option<&FunctionProfile> {
         self.funcs.get(f.0 as usize)

@@ -235,7 +235,12 @@ impl Metrics {
 
     /// Increments a named counter.
     pub fn bump(&mut self, key: &str) {
-        *self.counters.entry(key.to_owned()).or_insert(0) += 1;
+        match self.counters.get_mut(key) {
+            Some(c) => *c += 1,
+            None => {
+                self.counters.insert(key.to_owned(), 1);
+            }
+        }
     }
 
     /// Updates the registry from one event. Called by the tracer on emit.
@@ -278,7 +283,11 @@ impl Metrics {
         if insts == 0 {
             return;
         }
-        let entry = self.residency.entry(name.to_owned()).or_default();
+        // Only a function's first credit allocates its key.
+        let entry = match self.residency.get_mut(name) {
+            Some(entry) => entry,
+            None => self.residency.entry(name.to_owned()).or_default(),
+        };
         entry.insts[tier_index(tier)] += insts;
     }
 

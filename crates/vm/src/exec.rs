@@ -10,17 +10,21 @@ use nomap_jit::{CompiledFn, StackMapEntry, ValueRepr};
 use nomap_machine::{
     AbortReason, CheckKind, HtmKind, InstCategory, MReg, MachInst, RegionKind, Tier,
 };
-use nomap_runtime::{Access, Value};
+use nomap_runtime::{Access, RuntimeFn, Value};
 use nomap_trace::TraceEvent;
 
-use crate::error::{Flow, VmError};
+use crate::error::Flow;
 use crate::profiler::ReplayMode;
 use crate::vm::{TxFallback, Vm};
 
 /// One executing machine frame (lives on the Rust stack across JS calls).
 struct Frame {
     code: Rc<CompiledFn>,
+    /// Where execution (re)starts: 0 on entry, the Baseline resume point
+    /// after a rematerialization. The loop keeps the live pc in a local.
     pc: usize,
+    /// Register file, borrowed from [`Vm::machine_regs`] for the frame's
+    /// lifetime.
     regs: Vec<u64>,
 }
 
@@ -34,17 +38,17 @@ pub(crate) fn run_machine(
     let saved_mode = vm.profiler_enter(code.func.0, code.tier);
     let mut frame = enter_frame(vm, code, args);
     let result = exec_loop(vm, &mut frame);
+    vm.machine_regs.give(frame.regs);
     vm.profiler_exit(saved_mode);
     vm.stack_top = saved_stack;
     result
 }
 
 fn enter_frame(vm: &mut Vm, code: Rc<CompiledFn>, args: &[Value]) -> Frame {
-    let mut regs = vec![0u64; code.reg_count as usize];
-    let mut frame_base = 0;
+    let mut regs = vm.machine_regs.take(code.reg_count as usize, 0);
     if code.frame_words > 0 {
         // Baseline: arguments and locals live in simulated stack memory.
-        frame_base = vm.stack_top;
+        let frame_base = vm.stack_top;
         vm.stack_top += code.frame_words as u64;
         for (i, a) in args.iter().enumerate() {
             vm.rt.mem.write(frame_base + i as u64, a.to_bits());
@@ -58,7 +62,6 @@ fn enter_frame(vm: &mut Vm, code: Rc<CompiledFn>, args: &[Value]) -> Frame {
             }
         }
     }
-    let _ = frame_base;
     Frame { code, pc: 0, regs }
 }
 
@@ -82,10 +85,7 @@ impl Vm {
         };
         self.stats.add_insts(cat, code.tier, n);
         self.last_tier = code.tier;
-        if self.tracer.is_enabled() {
-            let name = self.funcs[code.func.0 as usize].name.clone();
-            self.tracer.record_residency(&name, code.tier, n);
-        }
+        self.trace_residency(code.func.0, code.tier, n);
         let cycles = n * self.timing.per_inst;
         if in_tx {
             self.tx.instructions += n;
@@ -243,7 +243,10 @@ impl Vm {
                 .map(|f| format!("{:?}", self.code[f.0 as usize].scope))
                 .unwrap_or_else(|| "None".to_owned());
             let attempt = owner
-                .map(|f| (self.rt.profiles.func(f).capacity_aborts + 1).min(u32::MAX as u64) as u32)
+                .map(|f| {
+                    let prior = self.rt.profiles.func_ref(f).map_or(0, |p| p.capacity_aborts);
+                    (prior + 1).min(u32::MAX as u64) as u32
+                })
                 .unwrap_or(1);
             let ev = TraceEvent::TxAbortBlame {
                 func: owner.map(|f| f.0),
@@ -298,7 +301,8 @@ fn rebox(bits: u64, repr: ValueRepr) -> Value {
 }
 
 /// Switches `frame` to the Baseline tier at `bc` with the given boxed
-/// register values (OSR exit / transaction fallback).
+/// register values (OSR exit / transaction fallback). The frame keeps its
+/// register buffer.
 fn materialize_baseline(
     vm: &mut Vm,
     frame: &mut Frame,
@@ -322,352 +326,352 @@ fn materialize_baseline(
     // overhead (paper §II-B).
     vm.count_runtime(values.len() as u64 + 30);
     let _ = vm.process_memory_traffic(); // deopt runs outside transactions
-    let pc = baseline.bc_labels[bc as usize].0 as usize;
-    let mut regs = vec![0u64; baseline.reg_count as usize];
-    regs[0] = frame_base;
-    *frame = Frame { code: baseline, pc, regs };
+    frame.pc = baseline.bc_labels[bc as usize].0 as usize;
+    frame.regs.clear();
+    frame.regs.resize(baseline.reg_count as usize, 0);
+    frame.regs[0] = frame_base;
+    frame.code = baseline;
 }
 
-/// Reads the current stack-map entry into boxed values.
-fn snapshot(frame: &Frame, entry: &StackMapEntry) -> Vec<Option<Value>> {
-    entry
-        .regs
-        .iter()
-        .map(|slot| slot.map(|(r, repr)| rebox(frame.regs[r.0 as usize], repr)))
-        .collect()
+/// Reads the current stack-map entry into boxed values, in a buffer taken
+/// from [`Vm::snapshots`] (give it back when done).
+fn snapshot(vm: &mut Vm, regs: &[u64], entry: &StackMapEntry) -> Vec<Option<Value>> {
+    let mut values = vm.snapshots.take(0, None);
+    values.extend(
+        entry.regs.iter().map(|slot| slot.map(|(r, repr)| rebox(regs[r.0 as usize], repr))),
+    );
+    values
+}
+
+/// Boxes the argument registers `args` into a stack buffer (the heap only
+/// for calls with more than eight arguments) and passes them to `call`.
+fn with_args<T>(regs: &[u64], args: &[MReg], call: impl FnOnce(&[Value]) -> T) -> T {
+    const INLINE: usize = 8;
+    let boxed = |m: &MReg| Value::from_bits(regs[m.0 as usize]);
+    if args.len() <= INLINE {
+        let mut buf = [Value::UNDEFINED; INLINE];
+        for (slot, m) in buf.iter_mut().zip(args) {
+            *slot = boxed(m);
+        }
+        call(&buf[..args.len()])
+    } else {
+        call(&args.iter().map(boxed).collect::<Vec<_>>())
+    }
 }
 
 fn exec_loop(vm: &mut Vm, frame: &mut Frame) -> Result<Value, Flow> {
-    loop {
-        let inst = frame.code.code[frame.pc].clone();
-        frame.pc += 1;
-        vm.count(&frame.code, 1);
-        let r = &mut frame.regs;
-        match inst {
-            MachInst::MovImm { dst, imm } => r[dst.0 as usize] = imm,
-            MachInst::Mov { dst, src } => r[dst.0 as usize] = r[src.0 as usize],
-            MachInst::Alu64 { op, dst, a, b } => {
-                r[dst.0 as usize] = op.apply(r[a.0 as usize], r[b.0 as usize]);
+    // The frame's code changes only when an abort or deopt rematerializes
+    // it in Baseline; every such switch restarts this outer loop.
+    'code: loop {
+        let code = Rc::clone(&frame.code);
+        let mut pc = frame.pc;
+        // Register-only instructions executed but not yet accounted. They
+        // cannot change anything `Vm::count` reads, so the batch is flushed
+        // together with the next instruction outside that set — before it
+        // executes, so everything it does sees every earlier instruction
+        // accounted.
+        let mut pending = 0u64;
+        // Runs until an instruction raises a `Flow`: an abort raised here
+        // or unwinding out of a callee, or a guest error.
+        let flow = loop {
+            let inst = &code.code[pc];
+            pc += 1;
+            if inst.is_register_only() {
+                pending += 1;
+            } else {
+                vm.count(&code, pending + 1);
+                pending = 0;
             }
-            MachInst::Alu64Imm { op, dst, a, imm } => {
-                r[dst.0 as usize] = op.apply(r[a.0 as usize], imm);
-            }
-            MachInst::AddI32 { dst, a, b } => {
-                int32_arith(vm, r, dst, a, Some(b), |x, y| x.checked_add(y));
-            }
-            MachInst::SubI32 { dst, a, b } => {
-                int32_arith(vm, r, dst, a, Some(b), |x, y| x.checked_sub(y));
-            }
-            MachInst::MulI32 { dst, a, b } => {
-                int32_arith(vm, r, dst, a, Some(b), |x, y| {
-                    let wide = x as i64 * y as i64;
-                    if wide == 0 && (x < 0 || y < 0) {
-                        None // negative zero needs the double representation
-                    } else {
-                        i32::try_from(wide).ok()
-                    }
-                });
-            }
-            MachInst::NegI32 { dst, a } => {
-                int32_arith(
-                    vm,
-                    r,
-                    dst,
-                    a,
-                    None,
-                    |x, _| {
-                        if x == 0 {
-                            None
+            let r = &mut frame.regs;
+            match *inst {
+                MachInst::MovImm { dst, imm } => r[dst.0 as usize] = imm,
+                MachInst::Mov { dst, src } => r[dst.0 as usize] = r[src.0 as usize],
+                MachInst::Alu64 { op, dst, a, b } => {
+                    r[dst.0 as usize] = op.apply(r[a.0 as usize], r[b.0 as usize]);
+                }
+                MachInst::Alu64Imm { op, dst, a, imm } => {
+                    r[dst.0 as usize] = op.apply(r[a.0 as usize], imm);
+                }
+                MachInst::AddI32 { dst, a, b } => {
+                    int32_arith(vm, r, dst, a, Some(b), |x, y| x.checked_add(y));
+                }
+                MachInst::SubI32 { dst, a, b } => {
+                    int32_arith(vm, r, dst, a, Some(b), |x, y| x.checked_sub(y));
+                }
+                MachInst::MulI32 { dst, a, b } => {
+                    int32_arith(vm, r, dst, a, Some(b), |x, y| {
+                        let wide = x as i64 * y as i64;
+                        if wide == 0 && (x < 0 || y < 0) {
+                            None // negative zero needs the double representation
                         } else {
-                            x.checked_neg()
+                            i32::try_from(wide).ok()
                         }
-                    },
-                );
-            }
-            MachInst::FAlu { op, dst, a, b } => {
-                r[dst.0 as usize] = op.apply_bits(r[a.0 as usize], r[b.0 as usize]);
-            }
-            MachInst::FNeg { dst, a } => {
-                r[dst.0 as usize] = (-f64::from_bits(r[a.0 as usize])).to_bits();
-            }
-            MachInst::CvtI32ToF64 { dst, src } => {
-                r[dst.0 as usize] = ((r[src.0 as usize] as u32 as i32) as f64).to_bits();
-            }
-            MachInst::CvtF64ToI32 { dst, src } => {
-                let d = f64::from_bits(r[src.0 as usize]);
-                r[dst.0 as usize] = (d as i32) as i64 as u64; // saturating cast
-            }
-            MachInst::UnboxI32 { dst, src } => {
-                r[dst.0 as usize] = (r[src.0 as usize] as u32 as i32) as i64 as u64;
-            }
-            MachInst::ToF64 { dst, src } => {
-                let v = Value::from_bits(r[src.0 as usize]);
-                let d = if v.is_int32() { v.as_int32() as f64 } else { v.as_double() };
-                r[dst.0 as usize] = d.to_bits();
-            }
-            MachInst::BoxI32 { dst, src } => {
-                r[dst.0 as usize] = Value::new_int32(r[src.0 as usize] as u32 as i32).to_bits();
-            }
-            MachInst::BoxF64 { dst, src } => {
-                r[dst.0 as usize] = Value::new_double(f64::from_bits(r[src.0 as usize])).to_bits();
-            }
-            MachInst::BoxBool { dst, src } => {
-                r[dst.0 as usize] = Value::new_bool(r[src.0 as usize] != 0).to_bits();
-            }
-            MachInst::IAlu32 { op, dst, a, b } => {
-                let x = r[a.0 as usize] as u32 as i32;
-                let y = r[b.0 as usize] as u32 as i32;
-                r[dst.0 as usize] = op.apply(x, y) as i64 as u64;
-            }
-            MachInst::UShr32 { dst, a, b } => {
-                let x = r[a.0 as usize] as u32;
-                let y = r[b.0 as usize] as u32 & 31;
-                r[dst.0 as usize] = (x.wrapping_shr(y) as i32) as i64 as u64;
-            }
-            MachInst::MathF64 { intr, dst, args } => {
-                let a0 = args.first().map(|m| f64::from_bits(r[m.0 as usize])).unwrap_or(f64::NAN);
-                let a1 = args.get(1).map(|m| f64::from_bits(r[m.0 as usize])).unwrap_or(f64::NAN);
-                let (val, extra) = exec_math(vm, intr, a0, a1);
-                r[dst.0 as usize] = val.to_bits();
-                if extra > 0 {
-                    vm.count_runtime(extra); // libm call the FTL cannot inline
-                }
-            }
-            MachInst::CmpI64 { dst, a, b, cond } => {
-                r[dst.0 as usize] = cond.eval_i64(r[a.0 as usize], r[b.0 as usize]) as u64;
-            }
-            MachInst::CmpImm { dst, a, imm, cond } => {
-                r[dst.0 as usize] = cond.eval_i64(r[a.0 as usize], imm) as u64;
-            }
-            MachInst::CmpF64 { dst, a, b, cond } => {
-                let x = f64::from_bits(r[a.0 as usize]);
-                let y = f64::from_bits(r[b.0 as usize]);
-                r[dst.0 as usize] = cond.eval_f64(x, y) as u64;
-            }
-            MachInst::Jump { target } => {
-                if (target.0 as usize) < frame.pc && frame.code.tier == Tier::Baseline {
-                    vm.rt.profiles.func_mut(frame.code.func).back_edges += 1;
-                }
-                frame.pc = target.0 as usize;
-            }
-            MachInst::BranchNz { cond, target } => {
-                if r[cond.0 as usize] != 0 {
-                    if (target.0 as usize) < frame.pc && frame.code.tier == Tier::Baseline {
-                        vm.rt.profiles.func_mut(frame.code.func).back_edges += 1;
-                    }
-                    frame.pc = target.0 as usize;
-                }
-            }
-            MachInst::BranchZ { cond, target } => {
-                if r[cond.0 as usize] == 0 {
-                    if (target.0 as usize) < frame.pc && frame.code.tier == Tier::Baseline {
-                        vm.rt.profiles.func_mut(frame.code.func).back_edges += 1;
-                    }
-                    frame.pc = target.0 as usize;
-                }
-            }
-            MachInst::Load { dst, base, offset } => {
-                let addr = r[base.0 as usize].wrapping_add_signed(offset);
-                r[dst.0 as usize] = vm.rt.mem.read(addr);
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::Store { src, base, offset } => {
-                let addr = r[base.0 as usize].wrapping_add_signed(offset);
-                vm.rt.mem.write(addr, r[src.0 as usize]);
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::LoadIdx { dst, base, index } => {
-                let addr = r[base.0 as usize].wrapping_add(r[index.0 as usize]);
-                r[dst.0 as usize] = vm.rt.mem.read(addr);
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::StoreIdx { src, base, index } => {
-                let addr = r[base.0 as usize].wrapping_add(r[index.0 as usize]);
-                vm.rt.mem.write(addr, r[src.0 as usize]);
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::LoadGlobal { dst, addr } => {
-                let bits = vm.rt.mem.read(addr);
-                r[dst.0 as usize] = if bits == 0 { Value::UNDEFINED.to_bits() } else { bits };
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::StoreGlobal { src, addr } => {
-                vm.rt.mem.write(addr, r[src.0 as usize]);
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::CallRt { dst, func, args, site } => {
-                // Irrevocable events (I/O) abort the transaction first
-                // (paper §V-A); the Baseline re-execution performs the
-                // print non-transactionally, exactly once.
-                if vm.tx.active()
-                    && matches!(func, nomap_runtime::RuntimeFn::Intrinsic(Intrinsic::Print))
-                {
-                    let flow =
-                        vm.trigger_abort(AbortReason::Check(nomap_machine::CheckKind::Other));
-                    return handle_own_abort(vm, frame, flow);
-                }
-                let argv: Vec<Value> =
-                    args.iter().map(|m| Value::from_bits(r[m.0 as usize])).collect();
-                vm.rt.charge(vm.rt.costs.call_overhead);
-                let result = func.dispatch(&mut vm.rt, &argv, site).map_err(VmError::from)?;
-                let charged = vm.rt.take_charged();
-                vm.count_runtime(charged);
-                r[dst.0 as usize] = result.to_bits();
-                if let Err(flow) = mem_step(vm) {
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::CallJs { dst, callee, args } => {
-                let argv: Vec<Value> =
-                    args.iter().map(|m| Value::from_bits(r[m.0 as usize])).collect();
-                if vm.tx.active() {
-                    vm.tx_saw_call = true;
-                }
-                match vm.call_function(callee, &argv) {
-                    Ok(v) => r[dst.0 as usize] = v.to_bits(),
-                    Err(Flow::TxAbort) => {
-                        // Are we the owner of the aborted transaction?
-                        match vm.tx_fallback.take() {
-                            Some(fb) if fb.depth == vm.depth => {
-                                materialize_baseline(
-                                    vm,
-                                    frame,
-                                    fb.func,
-                                    fb.bc,
-                                    &fb.regs,
-                                    ReplayMode::TxnRetry,
-                                );
-                                continue;
-                            }
-                            fb => {
-                                vm.tx_fallback = fb;
-                                return Err(Flow::TxAbort);
-                            }
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            MachInst::Ret { src } => {
-                return Ok(Value::from_bits(r[src.0 as usize]));
-            }
-            MachInst::DeoptIf { cond, smp, kind } => {
-                if frame.code.tier == Tier::Ftl {
-                    vm.stats.add_check(kind);
-                    vm.profiler_check(frame.code.func.0, kind);
-                }
-                if r[cond.0 as usize] != 0 {
-                    take_deopt(vm, frame, smp, kind)?;
-                }
-            }
-            MachInst::DeoptIfOverflow { smp } => {
-                if frame.code.tier == Tier::Ftl {
-                    vm.stats.add_check(nomap_machine::CheckKind::Overflow);
-                    vm.profiler_check(frame.code.func.0, nomap_machine::CheckKind::Overflow);
-                }
-                if vm_of(vm) {
-                    take_deopt(vm, frame, smp, CheckKind::Overflow)?;
-                }
-            }
-            MachInst::AbortIf { cond, kind } => {
-                vm.stats.add_check(kind);
-                vm.profiler_check(frame.code.func.0, kind);
-                if r[cond.0 as usize] != 0 {
-                    let flow = vm.trigger_abort(AbortReason::Check(kind));
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::AbortIfOverflow => {
-                vm.stats.add_check(nomap_machine::CheckKind::Overflow);
-                vm.profiler_check(frame.code.func.0, nomap_machine::CheckKind::Overflow);
-                if vm_of(vm) {
-                    let flow =
-                        vm.trigger_abort(AbortReason::Check(nomap_machine::CheckKind::Overflow));
-                    return handle_own_abort(vm, frame, flow);
-                }
-            }
-            MachInst::XBegin { fallback } => {
-                let outermost = !vm.tx.active();
-                vm.tx.begin();
-                if outermost {
-                    let entry = &frame.code.stack_maps[fallback.0 as usize];
-                    let regs = snapshot(frame, entry);
-                    vm.tx_fallback = Some(TxFallback {
-                        depth: vm.depth,
-                        func: frame.code.func,
-                        bc: entry.bc,
-                        regs,
                     });
-                    vm.tx_saw_call = false;
-                    vm.stats.tx_begun += 1;
-                    if vm.tracer.is_enabled() {
-                        let ev = TraceEvent::TxBegin {
-                            func: frame.code.func.0,
-                            name: vm.funcs[frame.code.func.0 as usize].name.clone(),
-                        };
-                        let now = vm.stats.total_cycles();
-                        vm.tracer.emit(now, move || ev);
+                }
+                MachInst::NegI32 { dst, a } => {
+                    // Neither -0 nor -i32::MIN fits the int32 representation.
+                    int32_arith(vm, r, dst, a, None, |x, _| x.checked_neg().filter(|_| x != 0));
+                }
+                MachInst::FAlu { op, dst, a, b } => {
+                    r[dst.0 as usize] = op.apply_bits(r[a.0 as usize], r[b.0 as usize]);
+                }
+                MachInst::FNeg { dst, a } => {
+                    r[dst.0 as usize] = (-f64::from_bits(r[a.0 as usize])).to_bits();
+                }
+                MachInst::CvtI32ToF64 { dst, src } => {
+                    r[dst.0 as usize] = ((r[src.0 as usize] as u32 as i32) as f64).to_bits();
+                }
+                MachInst::CvtF64ToI32 { dst, src } => {
+                    let d = f64::from_bits(r[src.0 as usize]);
+                    r[dst.0 as usize] = (d as i32) as i64 as u64; // saturating cast
+                }
+                MachInst::UnboxI32 { dst, src } => {
+                    r[dst.0 as usize] = (r[src.0 as usize] as u32 as i32) as i64 as u64;
+                }
+                MachInst::ToF64 { dst, src } => {
+                    let v = Value::from_bits(r[src.0 as usize]);
+                    let d = if v.is_int32() { v.as_int32() as f64 } else { v.as_double() };
+                    r[dst.0 as usize] = d.to_bits();
+                }
+                MachInst::BoxI32 { dst, src } => {
+                    r[dst.0 as usize] = Value::new_int32(r[src.0 as usize] as u32 as i32).to_bits();
+                }
+                MachInst::BoxF64 { dst, src } => {
+                    r[dst.0 as usize] =
+                        Value::new_double(f64::from_bits(r[src.0 as usize])).to_bits();
+                }
+                MachInst::BoxBool { dst, src } => {
+                    r[dst.0 as usize] = Value::new_bool(r[src.0 as usize] != 0).to_bits();
+                }
+                MachInst::IAlu32 { op, dst, a, b } => {
+                    let x = r[a.0 as usize] as u32 as i32;
+                    let y = r[b.0 as usize] as u32 as i32;
+                    r[dst.0 as usize] = op.apply(x, y) as i64 as u64;
+                }
+                MachInst::UShr32 { dst, a, b } => {
+                    let x = r[a.0 as usize] as u32;
+                    let y = r[b.0 as usize] as u32 & 31;
+                    r[dst.0 as usize] = (x.wrapping_shr(y) as i32) as i64 as u64;
+                }
+                MachInst::MathF64 { intr, dst, ref args } => {
+                    let arg = |i: usize| {
+                        args.get(i).map(|m| f64::from_bits(r[m.0 as usize])).unwrap_or(f64::NAN)
+                    };
+                    let (val, extra) = exec_math(vm, intr, arg(0), arg(1));
+                    r[dst.0 as usize] = val.to_bits();
+                    if extra > 0 {
+                        vm.count_runtime(extra); // libm call the FTL cannot inline
                     }
                 }
-                let cyc = vm.timing.xbegin_cycles(vm.htm.kind);
-                vm.add_cycles(true, cyc, frame.code.func.0, frame.code.tier, RegionKind::TxnBody);
+                MachInst::CmpI64 { dst, a, b, cond } => {
+                    r[dst.0 as usize] = cond.eval_i64(r[a.0 as usize], r[b.0 as usize]) as u64;
+                }
+                MachInst::CmpImm { dst, a, imm, cond } => {
+                    r[dst.0 as usize] = cond.eval_i64(r[a.0 as usize], imm) as u64;
+                }
+                MachInst::CmpF64 { dst, a, b, cond } => {
+                    let x = f64::from_bits(r[a.0 as usize]);
+                    let y = f64::from_bits(r[b.0 as usize]);
+                    r[dst.0 as usize] = cond.eval_f64(x, y) as u64;
+                }
+                MachInst::Jump { target } => {
+                    if (target.0 as usize) < pc && code.tier == Tier::Baseline {
+                        vm.rt.profiles.func_mut(code.func).back_edges += 1;
+                    }
+                    pc = target.0 as usize;
+                }
+                MachInst::BranchNz { cond, target } => {
+                    if r[cond.0 as usize] != 0 {
+                        if (target.0 as usize) < pc && code.tier == Tier::Baseline {
+                            vm.rt.profiles.func_mut(code.func).back_edges += 1;
+                        }
+                        pc = target.0 as usize;
+                    }
+                }
+                MachInst::BranchZ { cond, target } => {
+                    if r[cond.0 as usize] == 0 {
+                        if (target.0 as usize) < pc && code.tier == Tier::Baseline {
+                            vm.rt.profiles.func_mut(code.func).back_edges += 1;
+                        }
+                        pc = target.0 as usize;
+                    }
+                }
+                MachInst::Load { dst, base, offset } => {
+                    let addr = r[base.0 as usize].wrapping_add_signed(offset);
+                    r[dst.0 as usize] = vm.rt.mem.read(addr);
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::Store { src, base, offset } => {
+                    let addr = r[base.0 as usize].wrapping_add_signed(offset);
+                    vm.rt.mem.write(addr, r[src.0 as usize]);
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::LoadIdx { dst, base, index } => {
+                    let addr = r[base.0 as usize].wrapping_add(r[index.0 as usize]);
+                    r[dst.0 as usize] = vm.rt.mem.read(addr);
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::StoreIdx { src, base, index } => {
+                    let addr = r[base.0 as usize].wrapping_add(r[index.0 as usize]);
+                    vm.rt.mem.write(addr, r[src.0 as usize]);
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::LoadGlobal { dst, addr } => {
+                    let bits = vm.rt.mem.read(addr);
+                    r[dst.0 as usize] = if bits == 0 { Value::UNDEFINED.to_bits() } else { bits };
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::StoreGlobal { src, addr } => {
+                    vm.rt.mem.write(addr, r[src.0 as usize]);
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::CallRt { dst, func, ref args, site } => {
+                    // Irrevocable events (I/O) abort the transaction first
+                    // (paper §V-A); the Baseline re-execution performs the
+                    // print non-transactionally, exactly once.
+                    if vm.tx.active() && matches!(func, RuntimeFn::Intrinsic(Intrinsic::Print)) {
+                        break vm.trigger_abort(AbortReason::Check(CheckKind::Other));
+                    }
+                    vm.rt.charge(vm.rt.costs.call_overhead);
+                    let result =
+                        match with_args(r, args, |argv| func.dispatch(&mut vm.rt, argv, site)) {
+                            Ok(v) => v,
+                            Err(e) => break e.into(),
+                        };
+                    let charged = vm.rt.take_charged();
+                    vm.count_runtime(charged);
+                    r[dst.0 as usize] = result.to_bits();
+                    if let Err(flow) = mem_step(vm) {
+                        break flow;
+                    }
+                }
+                MachInst::CallJs { dst, callee, ref args } => {
+                    if vm.tx.active() {
+                        vm.tx_saw_call = true;
+                    }
+                    match with_args(r, args, |argv| vm.call_function(callee, argv)) {
+                        Ok(v) => r[dst.0 as usize] = v.to_bits(),
+                        Err(flow) => break flow,
+                    }
+                }
+                MachInst::Ret { src } => {
+                    return Ok(Value::from_bits(r[src.0 as usize]));
+                }
+                MachInst::DeoptIf { cond, smp, kind } => {
+                    if code.tier == Tier::Ftl {
+                        vm.stats.add_check(kind);
+                        vm.profiler_check(code.func.0, kind);
+                    }
+                    if r[cond.0 as usize] != 0 {
+                        match take_deopt(vm, frame, smp, kind) {
+                            Some(flow) => break flow,
+                            None => continue 'code,
+                        }
+                    }
+                }
+                MachInst::DeoptIfOverflow { smp } => {
+                    if code.tier == Tier::Ftl {
+                        vm.stats.add_check(CheckKind::Overflow);
+                        vm.profiler_check(code.func.0, CheckKind::Overflow);
+                    }
+                    if vm.of {
+                        match take_deopt(vm, frame, smp, CheckKind::Overflow) {
+                            Some(flow) => break flow,
+                            None => continue 'code,
+                        }
+                    }
+                }
+                MachInst::AbortIf { cond, kind } => {
+                    vm.stats.add_check(kind);
+                    vm.profiler_check(code.func.0, kind);
+                    if r[cond.0 as usize] != 0 {
+                        break vm.trigger_abort(AbortReason::Check(kind));
+                    }
+                }
+                MachInst::AbortIfOverflow => {
+                    vm.stats.add_check(CheckKind::Overflow);
+                    vm.profiler_check(code.func.0, CheckKind::Overflow);
+                    if vm.of {
+                        break vm.trigger_abort(AbortReason::Check(CheckKind::Overflow));
+                    }
+                }
+                MachInst::XBegin { fallback } => {
+                    let outermost = !vm.tx.active();
+                    vm.tx.begin();
+                    if outermost {
+                        let entry = &code.stack_maps[fallback.0 as usize];
+                        let regs = snapshot(vm, r, entry);
+                        vm.tx_fallback = Some(TxFallback {
+                            depth: vm.depth,
+                            func: code.func,
+                            bc: entry.bc,
+                            regs,
+                        });
+                        vm.tx_saw_call = false;
+                        vm.stats.tx_begun += 1;
+                        if vm.tracer.is_enabled() {
+                            let ev = TraceEvent::TxBegin {
+                                func: code.func.0,
+                                name: vm.funcs[code.func.0 as usize].name.clone(),
+                            };
+                            let now = vm.stats.total_cycles();
+                            vm.tracer.emit(now, move || ev);
+                        }
+                    }
+                    let cyc = vm.timing.xbegin_cycles(vm.htm.kind);
+                    vm.add_cycles(true, cyc, code.func.0, code.tier, RegionKind::TxnBody);
+                }
+                MachInst::XEnd => match vm.tx.end(&vm.htm) {
+                    Ok(Some(outcome)) => {
+                        vm.stats.tx_committed += 1;
+                        vm.stats.tx_character.record(outcome);
+                        vm.cache.flash_clear_sw();
+                        if let Some(fb) = vm.tx_fallback.take() {
+                            vm.snapshots.give(fb.regs);
+                        }
+                        let cyc = vm.timing.xend_cycles(vm.htm.kind);
+                        // Commit overhead is part of the transaction's cost.
+                        vm.add_cycles(false, cyc, code.func.0, code.tier, RegionKind::TxnBody);
+                        if let Some(p) = &mut vm.profiler {
+                            p.data.record_commit(
+                                code.func.0,
+                                outcome.write_footprint_bytes,
+                                outcome.read_footprint_bytes,
+                            );
+                        }
+                        if vm.tracer.is_enabled() {
+                            let ev = TraceEvent::TxCommit {
+                                func: code.func.0,
+                                footprint_bytes: outcome.write_footprint_bytes,
+                                read_footprint_bytes: outcome.read_footprint_bytes,
+                                max_assoc: outcome.max_assoc,
+                                instructions: outcome.instructions,
+                            };
+                            let now = vm.stats.total_cycles();
+                            vm.tracer.emit(now, move || ev);
+                        }
+                    }
+                    Ok(None) => {}
+                    Err(reason) => break vm.trigger_abort(reason),
+                },
+                MachInst::Fence | MachInst::Nop => {}
             }
-            MachInst::XEnd => match vm.tx.end(&vm.htm) {
-                Ok(Some(outcome)) => {
-                    vm.stats.tx_committed += 1;
-                    vm.stats.tx_character.record(outcome);
-                    vm.cache.flash_clear_sw();
-                    vm.tx_fallback = None;
-                    let cyc = vm.timing.xend_cycles(vm.htm.kind);
-                    // Commit overhead is part of the transaction's cost.
-                    vm.add_cycles(
-                        false,
-                        cyc,
-                        frame.code.func.0,
-                        frame.code.tier,
-                        RegionKind::TxnBody,
-                    );
-                    if let Some(p) = &mut vm.profiler {
-                        p.data.record_commit(
-                            frame.code.func.0,
-                            outcome.write_footprint_bytes,
-                            outcome.read_footprint_bytes,
-                        );
-                    }
-                    if vm.tracer.is_enabled() {
-                        let ev = TraceEvent::TxCommit {
-                            func: frame.code.func.0,
-                            footprint_bytes: outcome.write_footprint_bytes,
-                            read_footprint_bytes: outcome.read_footprint_bytes,
-                            max_assoc: outcome.max_assoc,
-                            instructions: outcome.instructions,
-                        };
-                        let now = vm.stats.total_cycles();
-                        vm.tracer.emit(now, move || ev);
-                    }
-                }
-                Ok(None) => {}
-                Err(reason) => {
-                    let flow = vm.trigger_abort(reason);
-                    return handle_own_abort(vm, frame, flow);
-                }
-            },
-            MachInst::Fence | MachInst::Nop => {}
-        }
-        // Overflow flag bookkeeping happens inside int32_arith; memory
-        // traffic inside mem_step.
+            // Overflow flag bookkeeping happens inside int32_arith; memory
+            // traffic inside mem_step.
+        };
+        resume_after_abort(vm, frame, flow)?;
     }
 }
 
@@ -700,10 +704,6 @@ fn int32_arith(
     }
 }
 
-fn vm_of(vm: &Vm) -> bool {
-    vm.of
-}
-
 /// After memory-touching instructions: drain traffic, maybe abort.
 fn mem_step(vm: &mut Vm) -> Result<(), Flow> {
     if let Some(reason) = vm.process_memory_traffic() {
@@ -712,16 +712,17 @@ fn mem_step(vm: &mut Vm) -> Result<(), Flow> {
     Ok(())
 }
 
-/// Handles `Flow::TxAbort` raised by this very frame: if it owns the
-/// transaction, fall back to Baseline locally; otherwise propagate.
-fn handle_own_abort(vm: &mut Vm, frame: &mut Frame, flow: Flow) -> Result<Value, Flow> {
+/// Routes a `Flow` raised by this frame or unwinding out of a callee. When
+/// it is a transactional abort and this frame owns the transaction, the
+/// frame re-enters Baseline through the fallback and `Ok` tells the caller
+/// to resume it; anything else propagates.
+fn resume_after_abort(vm: &mut Vm, frame: &mut Frame, flow: Flow) -> Result<(), Flow> {
     match flow {
         Flow::TxAbort => match vm.tx_fallback.take() {
             Some(fb) if fb.depth == vm.depth => {
                 materialize_baseline(vm, frame, fb.func, fb.bc, &fb.regs, ReplayMode::TxnRetry);
-                // Resume the loop by recursing into the (now Baseline)
-                // frame.
-                exec_loop(vm, frame)
+                vm.snapshots.give(fb.regs);
+                Ok(())
             }
             fb => {
                 vm.tx_fallback = fb;
@@ -733,15 +734,16 @@ fn handle_own_abort(vm: &mut Vm, frame: &mut Frame, flow: Flow) -> Result<Value,
 }
 
 /// OSR exit: deoptimize this frame to Baseline through stack map `smp`
-/// because a `kind` check failed. Inside a transaction this becomes a full
-/// abort (the paper's TMUnopt SMPs): roll back and re-enter through the
+/// because a `kind` check failed (`None`: the frame now runs Baseline).
+/// Inside a transaction this becomes a full abort (the paper's TMUnopt
+/// SMPs), returned for routing: roll back and re-enter through the
 /// transaction fallback instead.
 fn take_deopt(
     vm: &mut Vm,
     frame: &mut Frame,
     smp: nomap_machine::SmpId,
     kind: CheckKind,
-) -> Result<(), Flow> {
+) -> Option<Flow> {
     vm.stats.deopts += 1;
     vm.rt.profiles.func_mut(frame.code.func).deopt_count += 1;
     if vm.profiler.is_some() {
@@ -749,24 +751,12 @@ fn take_deopt(
         vm.profiler_deopt(frame.code.func.0, smp.0, bc, kind);
     }
     if vm.tx.active() {
-        let flow = vm.trigger_abort(AbortReason::Check(nomap_machine::CheckKind::Other));
-        match flow {
-            Flow::TxAbort => match vm.tx_fallback.take() {
-                Some(fb) if fb.depth == vm.depth => {
-                    materialize_baseline(vm, frame, fb.func, fb.bc, &fb.regs, ReplayMode::TxnRetry);
-                    return Ok(());
-                }
-                fb => {
-                    vm.tx_fallback = fb;
-                    return Err(Flow::TxAbort);
-                }
-            },
-            other => return Err(other),
-        }
+        return Some(vm.trigger_abort(AbortReason::Check(CheckKind::Other)));
     }
-    let entry = frame.code.stack_maps[smp.0 as usize].clone();
-    let values = snapshot(frame, &entry);
-    let func = frame.code.func;
+    let code = Rc::clone(&frame.code);
+    let entry = &code.stack_maps[smp.0 as usize];
+    let values = snapshot(vm, &frame.regs, entry);
+    let func = code.func;
     if vm.tracer.is_enabled() {
         let ev = TraceEvent::Deopt {
             func: func.0,
@@ -779,7 +769,8 @@ fn take_deopt(
         vm.tracer.emit(now, move || ev);
     }
     materialize_baseline(vm, frame, func, entry.bc, &values, ReplayMode::DeoptReplay);
-    Ok(())
+    vm.snapshots.give(values);
+    None
 }
 
 /// Inlined math: pure FP ops cost nothing extra (single machine

@@ -4,7 +4,9 @@
 //! semantics charge — the cost structure that makes Baseline ≈2× and FTL
 //! ≈10× faster (paper Table I).
 
-use nomap_bytecode::{Const, FuncId, Op};
+use std::rc::Rc;
+
+use nomap_bytecode::{Const, FuncId, Function, Op};
 use nomap_machine::{InstCategory, Tier};
 use nomap_runtime::{RuntimeFn, Value};
 
@@ -14,16 +16,22 @@ use crate::vm::Vm;
 /// Runs `id` in the interpreter.
 pub(crate) fn interpret(vm: &mut Vm, id: FuncId, args: &[Value]) -> Result<Value, Flow> {
     let saved_mode = vm.profiler_enter(id.0, Tier::Interpreter);
-    let result = interpret_inner(vm, id, args);
+    let func = Rc::clone(&vm.funcs[id.0 as usize]);
+    let mut regs = vm.interp_regs.take(func.register_count as usize, Value::UNDEFINED);
+    let n = args.len().min(func.param_count as usize);
+    regs[..n].copy_from_slice(&args[..n]);
+    let result = interpret_inner(vm, id, &func, &mut regs);
+    vm.interp_regs.give(regs);
     vm.profiler_exit(saved_mode);
     result
 }
 
-fn interpret_inner(vm: &mut Vm, id: FuncId, args: &[Value]) -> Result<Value, Flow> {
-    let func = vm.funcs[id.0 as usize].clone();
-    let mut regs = vec![Value::UNDEFINED; func.register_count as usize];
-    let n = args.len().min(func.param_count as usize);
-    regs[..n].copy_from_slice(&args[..n]);
+fn interpret_inner(
+    vm: &mut Vm,
+    id: FuncId,
+    func: &Function,
+    regs: &mut [Value],
+) -> Result<Value, Flow> {
     let mut pc: u32 = 0;
     let site = |s| Some((id, s));
     // Previous opcode's kind when the current opcode is its static
@@ -115,13 +123,12 @@ fn interpret_inner(vm: &mut Vm, id: FuncId, args: &[Value]) -> Result<Value, Flo
                 vm.rt.put_global(name, v);
             }
             Op::Call { dst, func: callee, argv, argc, .. } => {
-                let args: Vec<Value> =
-                    (0..argc as usize).map(|i| regs[argv.0 as usize + i]).collect();
+                let args = argv.0 as usize..argv.0 as usize + argc as usize;
                 // Account for this opcode before recursing so attribution
                 // nests correctly.
                 vm.rt.charge(vm.rt.costs.js_call);
                 account(vm, id)?;
-                let r = vm.call_function(callee, &args)?;
+                let r = vm.call_function(callee, &regs[args])?;
                 regs[dst.0 as usize] = r;
                 if vm.census.is_some() {
                     prev_kind = (next == pc + 1).then(|| op.kind_index());
@@ -137,9 +144,8 @@ fn interpret_inner(vm: &mut Vm, id: FuncId, args: &[Value]) -> Result<Value, Flo
                         nomap_machine::CheckKind::Other,
                     )));
                 }
-                let args: Vec<Value> =
-                    (0..argc as usize).map(|i| regs[argv.0 as usize + i]).collect();
-                regs[dst.0 as usize] = vm.rt.call_intrinsic(intr, &args, site(s))?;
+                let args = argv.0 as usize..argv.0 as usize + argc as usize;
+                regs[dst.0 as usize] = vm.rt.call_intrinsic(intr, &regs[args], site(s))?;
             }
             Op::Return { src } => {
                 let v = regs[src.0 as usize];
@@ -163,10 +169,7 @@ fn account(vm: &mut Vm, id: FuncId) -> Result<(), Flow> {
     let insts = vm.rt.costs.interp_dispatch + vm.rt.take_charged();
     vm.stats.add_insts(InstCategory::NoFtl, Tier::Interpreter, insts);
     vm.last_tier = Tier::Interpreter;
-    if vm.tracer.is_enabled() {
-        let name = vm.funcs[id.0 as usize].name.clone();
-        vm.tracer.record_residency(&name, Tier::Interpreter, insts);
-    }
+    vm.trace_residency(id.0, Tier::Interpreter, insts);
     let cycles = insts * vm.timing.per_inst;
     let in_tx = vm.tx.active();
     if in_tx {

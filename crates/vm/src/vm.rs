@@ -23,7 +23,7 @@ use nomap_runtime::{Access, Runtime, Value};
 use nomap_trace::{Metrics, Recorded, TraceEvent, TraceSink, Tracer};
 
 use crate::error::{Flow, VmError};
-use crate::profiler::{Profiler, ReplayMode};
+use crate::profiler::{func_tier_slot, Profiler, ReplayMode, Tally};
 use crate::tiering::{TierLimit, TierThresholds};
 use crate::{exec, interp};
 
@@ -138,6 +138,31 @@ pub(crate) struct TxFallback {
     pub regs: Vec<Option<Value>>,
 }
 
+/// Reusable buffers: a frame takes one on entry and gives it back on exit,
+/// so once a call depth has been reached, calls at it allocate nothing.
+pub(crate) struct BufStack<T>(Vec<Vec<T>>);
+
+impl<T> Default for BufStack<T> {
+    fn default() -> Self {
+        BufStack(Vec::new())
+    }
+}
+
+impl<T: Clone> BufStack<T> {
+    /// A buffer holding `len` copies of `fill`.
+    pub(crate) fn take(&mut self, len: usize, fill: T) -> Vec<T> {
+        let mut buf = self.0.pop().unwrap_or_default();
+        buf.resize(len, fill);
+        buf
+    }
+
+    /// Returns a buffer for reuse.
+    pub(crate) fn give(&mut self, mut buf: Vec<T>) {
+        buf.clear();
+        self.0.push(buf);
+    }
+}
+
 /// Attachment of one VM to a shared heap segment: the agent's id, the
 /// guest-address window mirroring the segment, and the segment itself
 /// (canonical contents + per-round speculative-writer table), shared by
@@ -184,6 +209,10 @@ pub struct Vm {
     pub(crate) tracer: Tracer,
     /// Cycle-attribution profiler (disabled by default; observation-only).
     pub(crate) profiler: Option<Box<Profiler>>,
+    /// Tier-residency instructions not yet credited to the tracer's
+    /// metrics (which key them by function name); folded in when a host
+    /// call returns.
+    pub(crate) residency: Tally<(u32, Tier)>,
     /// Dynamic opcode/digram census (disabled by default;
     /// observation-only, like the tracer and profiler).
     pub(crate) census: Option<Box<OpcodeCensus>>,
@@ -196,6 +225,12 @@ pub struct Vm {
     pub(crate) ipa_extra_roots: BTreeSet<FuncId>,
     /// Shared-heap agent attachment (`None` outside contention runs).
     pub(crate) agent: Option<AgentLink>,
+    /// Register files of executing machine frames.
+    pub(crate) machine_regs: BufStack<u64>,
+    /// Register files of interpreter frames.
+    pub(crate) interp_regs: BufStack<Value>,
+    /// Boxed-register snapshots: transaction fallbacks and deopt exits.
+    pub(crate) snapshots: BufStack<Option<Value>>,
 }
 
 impl Vm {
@@ -254,10 +289,14 @@ impl Vm {
             last_tier: Tier::Interpreter,
             tracer: Tracer::disabled(),
             profiler: None,
+            residency: Tally::default(),
             census: None,
             ipa,
             ipa_extra_roots: BTreeSet::new(),
             agent: None,
+            machine_regs: BufStack::default(),
+            interp_regs: BufStack::default(),
+            snapshots: BufStack::default(),
         })
     }
 
@@ -299,6 +338,7 @@ impl Vm {
     pub fn call_id(&mut self, id: FuncId, args: &[Value]) -> Result<Value, VmError> {
         self.guard_precondition(id, args)?;
         let result = self.call_function(id, args);
+        self.fold_tallies();
         match result {
             Ok(v) => Ok(v),
             Err(Flow::Error(e)) => {
@@ -307,7 +347,9 @@ impl Vm {
                 if self.tx.active() {
                     self.tx.abort(&mut self.rt.mem);
                     self.cache.flash_clear_sw();
-                    self.tx_fallback = None;
+                    if let Some(fb) = self.tx_fallback.take() {
+                        self.snapshots.give(fb.regs);
+                    }
                     if let Some(link) = &self.agent {
                         link.segment.borrow_mut().clear_agent(link.id);
                     }
@@ -339,7 +381,7 @@ impl Vm {
     pub fn reset_stats(&mut self) {
         self.stats = ExecStats::new();
         if let Some(p) = &mut self.profiler {
-            p.data.reset();
+            p.reset();
         }
     }
 
@@ -580,7 +622,27 @@ impl Vm {
             self.stats.cycles_non_tm += cycles;
         }
         if let Some(p) = &mut self.profiler {
-            p.data.charge(RegionKey { func, tier, kind }, cycles);
+            p.charge(RegionKey { func, tier, kind }, cycles);
+        }
+    }
+
+    /// Folds the observation tallies into the tracer's tier residency and
+    /// the profile, so that everything read between host calls is whole.
+    fn fold_tallies(&mut self) {
+        let (funcs, tracer) = (&self.funcs, &mut self.tracer);
+        self.residency
+            .drain(|(func, tier), n| tracer.record_residency(&funcs[func as usize].name, tier, n));
+        if let Some(p) = &mut self.profiler {
+            p.fold();
+        }
+    }
+
+    /// Credits tier-residency instructions to `func` (no-op unless
+    /// tracing).
+    #[inline]
+    pub(crate) fn trace_residency(&mut self, func: u32, tier: Tier, n: u64) {
+        if self.tracer.is_enabled() {
+            self.residency.add(func_tier_slot(func, tier), (func, tier), n);
         }
     }
 
@@ -647,7 +709,7 @@ impl Vm {
     #[inline]
     pub(crate) fn profiler_insts(&mut self, func: u32, tier: Tier, n: u64) {
         if let Some(p) = &mut self.profiler {
-            p.data.record_insts(func, tier, n);
+            p.record_insts(func, tier, n);
         }
     }
 
@@ -655,7 +717,7 @@ impl Vm {
     #[inline]
     pub(crate) fn profiler_check(&mut self, func: u32, kind: nomap_machine::CheckKind) {
         if let Some(p) = &mut self.profiler {
-            p.data.record_check(func, kind);
+            p.record_check(func, kind);
         }
     }
 
@@ -748,8 +810,11 @@ impl Vm {
     }
 
     fn maybe_compile(&mut self, id: FuncId) -> Result<(), Flow> {
-        let prof = self.rt.profiles.func(id);
-        let hot = TierThresholds::hotness(prof.call_count, prof.back_edges);
+        let hot = self
+            .rt
+            .profiles
+            .func_ref(id)
+            .map_or(0, |p| TierThresholds::hotness(p.call_count, p.back_edges));
         let limit = self.config.tier_limit;
         let th = self.config.thresholds;
         let func = self.funcs[id.0 as usize].clone();

@@ -13,12 +13,15 @@
 //!    counts, allocation attribution and the census are byte-identical
 //!    between a sequential and a 4-worker run — the invariant the CI
 //!    host-observatory lane byte-diffs.
+//! 4. **The warm hot path does not allocate.** Once tiered up, `fibo`'s
+//!    calls allocate nothing on the host, and `sieve`'s only grow the
+//!    guest heap.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use nomap_fleet::FleetConfig;
-use nomap_hostprof::{set_enabled, snapshot, CountingAlloc, SpanReport};
-use nomap_vm::{Architecture, Metrics};
+use nomap_hostprof::{alloc_counters, set_enabled, snapshot, CountingAlloc, SpanReport};
+use nomap_vm::{Architecture, Metrics, Vm};
 use nomap_workloads::fleet::{corpus, run_corpus_sharded, run_workload_observed, CorpusMerge};
 use nomap_workloads::RunSpec;
 
@@ -117,5 +120,38 @@ fn deterministic_telemetry_is_jobs_invariant() {
         assert_eq!(a.count, b.count, "entry count for {path}");
         assert_eq!(a.allocs, b.allocs, "allocation count for {path}");
         assert_eq!(a.alloc_bytes, b.alloc_bytes, "allocation bytes for {path}");
+    }
+}
+
+/// Host allocations of 10 `run()` calls of corpus program `id` under
+/// `arch`, after 120 warm-up calls.
+fn steady_allocs(id: &str, arch: Architecture) -> u64 {
+    let w = corpus().into_iter().find(|w| w.id == id).unwrap();
+    let mut vm = Vm::new(w.source, arch).unwrap();
+    vm.run_main().unwrap();
+    for _ in 0..120 {
+        vm.call("run", &[]).unwrap();
+    }
+    set_enabled(true);
+    let (before, _) = alloc_counters();
+    for _ in 0..10 {
+        vm.call("run", &[]).unwrap();
+    }
+    let (after, _) = alloc_counters();
+    set_enabled(false);
+    after - before
+}
+
+#[test]
+fn warm_hot_path_does_not_allocate() {
+    let _guard = serial();
+    for arch in [Architecture::Base, Architecture::NoMap] {
+        // Recursive calls: register files, arguments and profiles are all
+        // reused or borrowed.
+        assert_eq!(steady_allocs("fibo", arch), 0, "fibo under {arch:?}");
+        // Each run() allocates a 1024-element guest array; the only host
+        // allocations left are the guest heap's occasional growth.
+        let sieve = steady_allocs("sieve", arch);
+        assert!(sieve < 10, "sieve under {arch:?} made {sieve} allocations");
     }
 }
