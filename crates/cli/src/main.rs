@@ -9,7 +9,9 @@
 //! nomap prove <file.js> [--arch <name>] [--warmup N] [--census] [--json]
 //! nomap ipa <file.js> [--arch <name>] [--warmup N] [--json]
 //! nomap memdep <file.js> [--arch <name>] [--warmup N] [--json]
-//! nomap aborts [<file.js>] [--arch <name>] [--warmup N] [--jobs N] [--top N] [--json] [--calibration] [--contention]
+//! nomap aborts <file.js> [--arch <name>] [--warmup N] [--top N] [--json] [--calibration]
+//! nomap aborts --contention [--arch <name>] [--jobs N] [--json]
+//! nomap census [lint|prove|ipa|memdep|aborts]... [--arch <name>] [--warmup N] [--jobs N] [--out <dir>]
 //! nomap disasm <file.js> <function> [--arch <name>] [--tier <baseline|dfg|ftl>]
 //! nomap corpus [--arch <name>] [--warmup N] [--jobs N] [--budget CYCLES]
 //! nomap hostprof [--arch <name>] [--warmup N] [--jobs N] [--top N] [--json] [--digrams] [--flame <path>] [--hostbench-dir <dir>]
@@ -24,41 +26,53 @@
 //! tables (every simulated cycle charged to a function × tier × region
 //! scope). `bench-diff` compares two `BENCH_*.json` cycle-count files (or
 //! two directories of them) and exits nonzero on regressions — the CI perf
-//! gate. `prove` runs the proof-carrying check-elision census: a profiled
-//! run joins the dynamic check tallies against the static range/type
-//! verdicts and exits nonzero when a statically proved-to-fail check was
-//! actually reached. `ipa` prints the interprocedural summary report: the
-//! call graph (roots, recursion), the per-function summary table (return
-//! abstraction, argument preconditions, heap effect) as validated by
-//! `ipa-tv`, and the verdict delta — every function compiled with and
-//! without the summary table, showing which checks and §V-C transaction
-//! seeds cross-function reasoning wins. `memdep` prints the shape-aware
-//! memory-dependence transform census: per function, what the redundant-
-//! load/dead-store/store-sinking stage eliminated under warmed profiles,
-//! with per-check-class attribution of the lifted checks each transform
-//! crossed and the `memdep-tv` translation-validation error tally (exits
-//! nonzero when any witness failed to re-derive). `aborts` is the abort-forensics
-//! observatory: with a script it prints per-abort blame (faulting cache
-//! set and victim-set occupancy, read/write footprints at the point of
-//! failure, ladder attempt) plus the static-vs-dynamic calibration table;
-//! without a script it sweeps the whole corpus through the sharded
-//! harness (`--jobs`-invariant stdout) printing one calibration summary
-//! line per workload. `--calibration` restricts the per-script report to
-//! the calibration table; `--top N` bounds the blame-site listing.
-//! `corpus` runs every bundled workload through the
-//! sharded `nomap-fleet` harness (`--jobs N` / `NOMAP_JOBS`); stdout is
-//! byte-identical for any worker count, scheduling telemetry goes to
-//! stderr. `hostprof` runs the same corpus with the host-time &
-//! allocation observatory enabled: stdout carries only deterministic
-//! counters (opcode/digram census, span entry and allocation counts, still
-//! `--jobs`-invariant), while wall-clock tables and `host-span` JSON Lines
-//! events go to stderr. `--digrams` prints just the digram table (the
-//! committed `results/digrams.txt`), `--flame` writes collapsed stacks for
-//! flamegraph tools, `--hostbench-dir` writes the `HOSTBENCH_corpus.json`
-//! document, and `--json` prints that document to stdout instead of the
-//! tables (it embeds nondeterministic wall times).
+//! gate.
+//!
+//! `lint`, `prove`, `ipa`, `memdep` and `aborts` are the static-vs-dynamic
+//! reports: each warms the script (top level once, then `run()` `--warmup`
+//! times, default 150) and recompiles every function. `lint` runs the
+//! verifier gauntlet between every pass. `prove` joins the dynamic check
+//! tallies against the static range/type verdicts (the check-elision
+//! census). `ipa` prints the interprocedural summary report: the call
+//! graph, the per-function summary table as validated by `ipa-tv`, and the
+//! verdict delta of compiling with and without it. `memdep` prints what
+//! the memory-dependence stage eliminated and sunk, with the lifted checks
+//! each transform crossed and the `memdep-tv` error tally. `aborts` is the
+//! abort-forensics observatory: per-abort blame (faulting cache set,
+//! footprints at the point of failure, ladder attempt) plus the
+//! static-vs-dynamic footprint calibration table; `--calibration` prints
+//! only the table and `--top N` bounds the blame listing. Each exits
+//! nonzero when its failure predicate fires (an error diagnostic, a
+//! reachable proved-to-fail check, a verdict regression, a `memdep-tv`
+//! error, an unexplained under-prediction). `aborts --contention` instead
+//! audits the shared-heap contention workloads for conflict soundness.
+//!
+//! `census` runs those reports over the whole bundled corpus: each
+//! (architecture, workload) pair the requested reports need is warmed
+//! once and feeds every report. With no kinds it runs all five, each under
+//! its default architectures; `--arch` restricts every report to one.
+//! Without `--out` the documents go to stdout; with it each lands in
+//! `<dir>/<name>.txt` (`prove_corpus_base`, `ipa_census`, `lint_nomap`,
+//! ...) with its JSON beside it. `corpus` runs every bundled workload
+//! through the sharded `nomap-fleet` harness. `hostprof` runs the same
+//! corpus with the host-time & allocation observatory enabled: stdout
+//! carries only deterministic counters (opcode/digram census, span entry
+//! and allocation counts), while wall-clock tables and `host-span` JSON
+//! Lines events go to stderr. `--digrams` prints just the digram table
+//! (the committed `results/digrams.txt`), `--flame` writes collapsed
+//! stacks for flamegraph tools, `--hostbench-dir` writes the
+//! `HOSTBENCH_corpus.json` document, and `--json` prints that document to
+//! stdout instead of the tables (it embeds nondeterministic wall times).
+//!
+//! Every corpus sweep shards over `--jobs N` (or `NOMAP_JOBS`) workers;
+//! stdout is byte-identical for any worker count and scheduling telemetry
+//! goes to stderr. Usage errors — including a missing or malformed flag
+//! value — exit 2; runtime errors exit 1.
 
+use std::fmt::Display;
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// The counting allocator is opt-in per binary; installing it here gives
 /// `nomap hostprof` real allocation attribution. Every other subcommand
@@ -69,44 +83,151 @@ static ALLOC: nomap_hostprof::CountingAlloc = nomap_hostprof::CountingAlloc;
 use nomap_fleet::FleetConfig;
 use nomap_trace::{obj, JsonValue};
 use nomap_vm::{
-    bench_diff, Architecture, BenchRows, CheckKind, HotSpotReport, InstCategory, JsonlSink, Tier,
+    bench_diff, diagnostic_json, AbortsReport, Architecture, BenchRows, CheckKind, CorpusReport,
+    HotSpotReport, InstCategory, IpaReport, JsonlSink, LintReport, MemdepReport, ProveReport, Tier,
     TierLimit, TraceEvent, Vm, VmConfig,
 };
+use nomap_workloads::census::{run_census, CensusSpec, Kind};
 use nomap_workloads::fleet::{corpus, report_summary, run_corpus_sharded, CorpusMerge};
 use nomap_workloads::RunSpec;
 
+const USAGE: &str = "usage:
+  nomap run <file.js> [--arch <name>] [--tier <cap>] [--warmup N] [--stats]
+  nomap trace <file.js> [--arch <name>] [--warmup N] [--ring N] [--last N] [--jsonl <path>]
+  nomap profile <file.js> [--arch <name>] [--tier <cap>] [--warmup N] [--top N] [--json]
+  nomap bench-diff <old> <new> [--threshold PCT]
+  nomap lint <file.js> [--arch <name>] [--warmup N] [--json] [--deny-warnings]
+  nomap prove <file.js> [--arch <name>] [--warmup N] [--census] [--json]
+  nomap ipa <file.js> [--arch <name>] [--warmup N] [--json]
+  nomap memdep <file.js> [--arch <name>] [--warmup N] [--json]
+  nomap aborts <file.js> [--arch <name>] [--warmup N] [--top N] [--json] [--calibration]
+  nomap aborts --contention [--arch <name>] [--jobs N] [--json]
+  nomap census [lint|prove|ipa|memdep|aborts]... [--arch <name>] [--warmup N] [--jobs N] [--out <dir>]
+  nomap disasm <file.js> <function> [--arch <name>] [--tier <baseline|dfg|ftl>]
+  nomap corpus [--arch <name>] [--warmup N] [--jobs N] [--budget CYCLES]
+  nomap hostprof [--arch <name>] [--warmup N] [--jobs N] [--top N] [--json] [--digrams] [--flame <path>] [--hostbench-dir <dir>]
+  nomap archs";
+
+/// A subcommand's outcome. `Err` carries the exit code of an error that
+/// was already reported on stderr.
+type Outcome = Result<ExitCode, ExitCode>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("prove") => cmd_prove(&args[1..]),
-        Some("ipa") => cmd_ipa(&args[1..]),
-        Some("memdep") => cmd_memdep(&args[1..]),
-        Some("aborts") => cmd_aborts(&args[1..]),
-        Some("disasm") => cmd_disasm(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..]),
-        Some("hostprof") => cmd_hostprof(&args[1..]),
+    let rest = args.get(1..).unwrap_or_default();
+    let outcome = match args.first().map(String::as_str) {
+        Some("run") => cmd_run(rest),
+        Some("trace") => cmd_trace(rest),
+        Some("profile") => cmd_profile(rest),
+        Some("bench-diff") => cmd_bench_diff(rest),
+        Some("lint") => cmd_lint(rest),
+        Some("prove") => cmd_prove(rest),
+        Some("ipa") => cmd_ipa(rest),
+        Some("memdep") => cmd_memdep(rest),
+        Some("aborts") => cmd_aborts(rest),
+        Some("census") => cmd_census(rest),
+        Some("disasm") => cmd_disasm(rest),
+        Some("corpus") => cmd_corpus(rest),
+        Some("hostprof") => cmd_hostprof(rest),
         Some("archs") => {
             for a in Architecture::ALL {
                 println!("{}", a.name());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         _ => {
-            eprintln!(
-                "usage:\n  nomap run <file.js> [--arch <name>] [--tier <cap>] [--warmup N] [--stats]\n  nomap trace <file.js> [--arch <name>] [--warmup N] [--ring N] [--last N] [--jsonl <path>]\n  nomap profile <file.js> [--arch <name>] [--tier <cap>] [--warmup N] [--top N] [--json]\n  nomap bench-diff <old> <new> [--threshold PCT]\n  nomap lint <file.js> [--arch <name>] [--warmup N] [--json] [--deny-warnings]\n  nomap prove <file.js> [--arch <name>] [--warmup N] [--census] [--json]\n  nomap ipa <file.js> [--arch <name>] [--warmup N] [--json]\n  nomap memdep <file.js> [--arch <name>] [--warmup N] [--json]\n  nomap aborts [<file.js>] [--arch <name>] [--warmup N] [--jobs N] [--top N] [--json] [--calibration] [--contention]\n  nomap disasm <file.js> <function> [--arch <name>] [--tier <baseline|dfg|ftl>]\n  nomap corpus [--arch <name>] [--warmup N] [--jobs N] [--budget CYCLES]\n  nomap hostprof [--arch <name>] [--warmup N] [--jobs N] [--top N] [--json] [--digrams] [--flame <path>] [--hostbench-dir <dir>]\n  nomap archs"
-            );
-            ExitCode::from(2)
+            eprintln!("{USAGE}");
+            Err(ExitCode::from(2))
         }
+    };
+    outcome.unwrap_or_else(|code| code)
+}
+
+/// Reports a usage error: exit 2.
+fn usage_error(e: impl Display) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::from(2)
+}
+
+/// Reports a runtime error: exit 1.
+fn failure(e: impl Display) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
+}
+
+/// Success unless `failed`.
+fn status(failed: bool) -> Outcome {
+    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+/// Flags that take a value. Any other `--` argument is a switch; anything
+/// else is positional.
+const VALUE_FLAGS: [&str; 13] = [
+    "--arch",
+    "--warmup",
+    "--jobs",
+    "--out",
+    "--top",
+    "--tier",
+    "--ring",
+    "--last",
+    "--jsonl",
+    "--budget",
+    "--flame",
+    "--hostbench-dir",
+    "--threshold",
+];
+
+/// The bare arguments: neither flags nor flag values.
+fn positionals(args: &[String]) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            it.next();
+        } else if !a.starts_with("--") {
+            out.push(a.as_str());
+        }
+    }
+    out
+}
+
+fn has_switch(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
+/// The value after flag `name`, when given. A flag followed by nothing or
+/// by another flag is a usage error.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{name}: missing value")),
     }
 }
 
-fn parse_arch(s: &str) -> Option<Architecture> {
-    Architecture::ALL.into_iter().find(|a| a.name().eq_ignore_ascii_case(s))
+/// A numeric flag's value, when given.
+fn parsed_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|s| s.parse().map_err(|_| format!("{name}: expected a number, got `{s}`")))
+        .transpose()
+}
+
+/// `--arch`, when given.
+fn arch_flag(args: &[String]) -> Result<Option<Architecture>, String> {
+    flag_value(args, "--arch")?
+        .map(|s| {
+            Architecture::ALL
+                .into_iter()
+                .find(|a| a.name().eq_ignore_ascii_case(s))
+                .ok_or_else(|| format!("--arch: unknown architecture `{s}`"))
+        })
+        .transpose()
+}
+
+/// The first bare argument: the script path.
+fn script(args: &[String]) -> Result<&str, String> {
+    positionals(args).first().copied().ok_or_else(|| "missing script path".to_owned())
 }
 
 fn parse_tier_limit(s: &str) -> Option<TierLimit> {
@@ -119,57 +240,44 @@ fn parse_tier_limit(s: &str) -> Option<TierLimit> {
     })
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// Builds the VM for the script under `--arch` (default `NoMap`) and the
+/// `--tier` cap.
+fn build_vm(args: &[String]) -> Result<Vm, ExitCode> {
+    let file = script(args).map_err(usage_error)?;
+    let arch = arch_flag(args).map_err(usage_error)?;
+    let mut config = VmConfig::new(arch.unwrap_or(Architecture::NoMap));
+    if let Some(s) = flag_value(args, "--tier").map_err(usage_error)? {
+        config.tier_limit = parse_tier_limit(s)
+            .ok_or_else(|| usage_error(format!("--tier: unknown tier cap `{s}`")))?;
+    }
+    let src = std::fs::read_to_string(file).map_err(|e| failure(format!("{file}: {e}")))?;
+    Vm::with_config(&src, config).map_err(failure)
 }
 
-fn build_vm(args: &[String]) -> Result<(Vm, bool), String> {
-    let file = args.first().ok_or("missing script path")?;
-    let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => parse_arch(s).ok_or_else(|| format!("unknown architecture `{s}`"))?,
-        None => Architecture::NoMap,
-    };
-    let mut config = VmConfig::new(arch);
-    if let Some(s) = flag_value(args, "--tier") {
-        config.tier_limit = parse_tier_limit(s).ok_or_else(|| format!("unknown tier cap `{s}`"))?;
+/// Runs the script's top level, printing its output, then `run()` (when
+/// defined) `calls` times.
+fn warm(vm: &mut Vm, calls: u32, print_output: bool) -> Result<(), ExitCode> {
+    vm.run_main().map_err(failure)?;
+    if print_output {
+        print!("{}", vm.output());
     }
-    let vm = Vm::with_config(&src, config).map_err(|e| e.to_string())?;
-    let stats = args.iter().any(|a| a == "--stats");
-    Ok((vm, stats))
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    let (mut vm, want_stats) = match build_vm(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(120);
-    if let Err(e) = vm.run_main() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    print!("{}", vm.output());
     if vm.program.function_ids.contains_key("run") {
-        for _ in 0..warmup {
-            if let Err(e) = vm.call("run", &[]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        vm.reset_stats();
-        match vm.call("run", &[]) {
-            Ok(v) => println!("run() = {v:?}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        for _ in 0..calls {
+            vm.call("run", &[]).map_err(failure)?;
         }
     }
-    if want_stats {
+    Ok(())
+}
+
+fn cmd_run(args: &[String]) -> Outcome {
+    let warmup = parsed_flag(args, "--warmup").map_err(usage_error)?.unwrap_or(120);
+    let mut vm = build_vm(args)?;
+    warm(&mut vm, warmup, true)?;
+    if vm.program.function_ids.contains_key("run") {
+        vm.reset_stats();
+        println!("run() = {:?}", vm.call("run", &[]).map_err(failure)?);
+    }
+    if has_switch(args, "--stats") {
         let s = &vm.stats;
         println!("--- steady-state statistics ({}) ---", vm.config.arch.name());
         println!("instructions : {}", s.total_insts());
@@ -194,44 +302,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
         );
         println!("deopts       : {}", s.deopts);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let (mut vm, _) = match build_vm(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(120);
-    let ring: usize = flag_value(args, "--ring").and_then(|s| s.parse().ok()).unwrap_or(65536);
-    let show_last: usize = flag_value(args, "--last").and_then(|s| s.parse().ok()).unwrap_or(40);
+fn cmd_trace(args: &[String]) -> Outcome {
+    let warmup: u32 = parsed_flag(args, "--warmup").map_err(usage_error)?.unwrap_or(120);
+    let ring = parsed_flag(args, "--ring").map_err(usage_error)?.unwrap_or(65536);
+    let show_last = parsed_flag(args, "--last").map_err(usage_error)?.unwrap_or(40);
+    let jsonl_path = flag_value(args, "--jsonl").map_err(usage_error)?;
+    let mut vm = build_vm(args)?;
     vm.enable_tracing(ring);
-    let jsonl_path = flag_value(args, "--jsonl").map(str::to_owned);
-    if let Some(path) = &jsonl_path {
-        match std::fs::File::create(path) {
-            Ok(f) => vm.add_trace_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(f)))),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = jsonl_path {
+        let f = std::fs::File::create(path).map_err(|e| failure(format!("{path}: {e}")))?;
+        vm.add_trace_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(f))));
     }
-    if let Err(e) = vm.run_main() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    print!("{}", vm.output());
-    if vm.program.function_ids.contains_key("run") {
-        for _ in 0..=warmup {
-            if let Err(e) = vm.call("run", &[]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    warm(&mut vm, warmup.saturating_add(1), true)?;
     vm.flush_trace();
 
     let events = vm.trace();
@@ -254,41 +339,21 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         "compiles: {} dfg, {} ftl; deopts: {}",
         vm.stats.dfg_compiles, vm.stats.ftl_compiles, vm.stats.deopts
     );
-    if let Some(path) = &jsonl_path {
+    if let Some(path) = jsonl_path {
         println!("jsonl: {total} events written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let (mut vm, _) = match build_vm(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(120);
-    let top: usize = flag_value(args, "--top").and_then(|s| s.parse().ok()).unwrap_or(20);
-    let as_json = args.iter().any(|a| a == "--json");
+fn cmd_profile(args: &[String]) -> Outcome {
+    let warmup: u32 = parsed_flag(args, "--warmup").map_err(usage_error)?.unwrap_or(120);
+    let top = parsed_flag(args, "--top").map_err(usage_error)?.unwrap_or(20);
+    let as_json = has_switch(args, "--json");
+    let mut vm = build_vm(args)?;
     // Profile the whole execution — warm-up included — so tier-up, deopt
     // replay and the §V-C retry ladder all show up in the attribution.
     vm.enable_profiling();
-    if let Err(e) = vm.run_main() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if !as_json {
-        print!("{}", vm.output());
-    }
-    if vm.program.function_ids.contains_key("run") {
-        for _ in 0..=warmup {
-            if let Err(e) = vm.call("run", &[]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    warm(&mut vm, warmup.saturating_add(1), !as_json)?;
     let report =
         HotSpotReport::new(vm.profile().expect("profiling enabled").clone(), vm.profile_names())
             .with_stats_total(vm.stats.total_cycles());
@@ -298,7 +363,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         println!("--- cycle attribution ({}) ---", vm.config.arch.name());
         print!("{}", report.render_text(top));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Loads one `BENCH_*.json` file, or every `BENCH_*.json` under a
@@ -334,88 +399,70 @@ fn load_bench_rows(path: &str) -> Result<BenchRows, String> {
     Ok(merged)
 }
 
-fn cmd_bench_diff(args: &[String]) -> ExitCode {
-    let (Some(old_path), Some(new_path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: nomap bench-diff <old.json|dir> <new.json|dir> [--threshold PCT]");
-        return ExitCode::from(2);
+fn cmd_bench_diff(args: &[String]) -> Outcome {
+    let (&[old_path, new_path, ..], Ok(threshold_pct)) =
+        (positionals(args).as_slice(), parsed_flag::<f64>(args, "--threshold"))
+    else {
+        return Err(usage_error(
+            "usage: nomap bench-diff <old.json|dir> <new.json|dir> [--threshold PCT]",
+        ));
     };
-    let threshold_pct: f64 = match flag_value(args, "--threshold").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(2.0),
-        Err(_) => {
-            eprintln!("error: --threshold wants a percentage (e.g. 2)");
-            return ExitCode::from(2);
-        }
-    };
+    let threshold_pct = threshold_pct.unwrap_or(2.0);
     let threshold = threshold_pct / 100.0;
-    let (old, new) = match (load_bench_rows(old_path), load_bench_rows(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let old = load_bench_rows(old_path).map_err(failure)?;
+    let new = load_bench_rows(new_path).map_err(failure)?;
     let diff = bench_diff(&old, &new, threshold);
     print!("{}", diff.render(threshold));
     if diff.is_ok() {
         println!("bench-diff OK: {} row(s) within {threshold_pct}% of baseline", new.rows.len());
-        ExitCode::SUCCESS
     } else {
         println!(
             "bench-diff FAILED: {} regression(s), {} missing row(s) (threshold {threshold_pct}%)",
             diff.regressions.len(),
             diff.missing.len()
         );
-        ExitCode::FAILURE
+    }
+    status(!diff.is_ok())
+}
+
+/// The front half every single-file report mode shares: reads the script
+/// and runs report `R` over it under `--arch` (default `NoMap`) after
+/// `--warmup` (default 150) `run()` calls.
+fn single_file<R: CorpusReport>(args: &[String]) -> Result<(&str, Architecture, R), ExitCode> {
+    let file = script(args).map_err(usage_error)?;
+    let arch = arch_flag(args).map_err(usage_error)?.unwrap_or(Architecture::NoMap);
+    let warmup = parsed_flag(args, "--warmup").map_err(usage_error)?.unwrap_or(150);
+    let src = std::fs::read_to_string(file).map_err(|e| failure(format!("{file}: {e}")))?;
+    let report = R::from_source(&src, arch, warmup).map_err(failure)?;
+    Ok((file, arch, report))
+}
+
+/// A single-file report's exit status: failure when its predicate fires.
+fn report_status<R: CorpusReport>(report: &R) -> Outcome {
+    match report.failures() {
+        0 => Ok(ExitCode::SUCCESS),
+        n => Err(failure(format!("{n} {}", R::FAILURE))),
     }
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let file = match args.first() {
-        Some(f) => f,
-        None => {
-            eprintln!("error: missing script path");
-            return ExitCode::from(2);
-        }
-    };
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(150);
-    let as_json = args.iter().any(|a| a == "--json");
-    let report = match nomap_vm::lint_source(&src, arch, warmup) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let errors = report.errors().count();
-    if as_json {
+/// A single-file report mode: `--json` prints the report's JSON,
+/// otherwise `render` prints its text.
+fn cmd_report<R: CorpusReport>(args: &[String], render: impl FnOnce(Architecture, &R)) -> Outcome {
+    let (_, arch, report) = single_file::<R>(args)?;
+    if has_switch(args, "--json") {
+        println!("{}", report.to_json(arch).render());
+    } else {
+        render(arch, &report);
+    }
+    report_status(&report)
+}
+
+fn cmd_lint(args: &[String]) -> Outcome {
+    let (file, arch, report) = single_file::<LintReport>(args)?;
+    let errors = report.failures();
+    if has_switch(args, "--json") {
         for d in &report.diagnostics {
-            let m: Vec<(&str, JsonValue)> = vec![
-                ("code", d.code.as_str().into()),
-                ("severity", if d.is_error() { "error".into() } else { "warning".into() }),
-                ("func", d.func.as_str().into()),
-                ("stage", d.stage.as_str().into()),
-                ("block", d.block.map_or(JsonValue::Null, |b| b.0.into())),
-                ("value", d.value.map_or(JsonValue::Null, |v| v.0.into())),
-                ("message", d.message.as_str().into()),
-            ];
-            println!("{}", obj(m).render());
+            println!("{}", diagnostic_json(d).render());
         }
         let summary: Vec<(&str, JsonValue)> = vec![
             ("functions", report.functions.into()),
@@ -437,53 +484,15 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             arch.name()
         );
     }
-    let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    if !report.clean() || (deny_warnings && !report.diagnostics.is_empty()) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    if has_switch(args, "--deny-warnings") && !report.diagnostics.is_empty() {
+        return Err(ExitCode::FAILURE);
     }
+    report_status(&report)
 }
 
-fn cmd_prove(args: &[String]) -> ExitCode {
-    let file = match args.first() {
-        Some(f) => f,
-        None => {
-            eprintln!("error: missing script path");
-            return ExitCode::from(2);
-        }
-    };
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(150);
-    let as_json = args.iter().any(|a| a == "--json");
-    let census = args.iter().any(|a| a == "--census");
-    let report = match nomap_vm::prove_source(&src, arch, warmup) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if as_json {
-        println!("{}", report.to_json(arch).render());
-    } else {
-        if census {
+fn cmd_prove(args: &[String]) -> Outcome {
+    cmd_report(args, |arch, report: &ProveReport| {
+        if has_switch(args, "--census") {
             println!("--- check census ({}) ---", arch.name());
             print!("{}", report.render_census());
             for d in &report.diagnostics {
@@ -491,226 +500,39 @@ fn cmd_prove(args: &[String]) -> ExitCode {
             }
         }
         println!("{}", report.summary(arch));
-    }
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "error: {} reachable check group(s) statically proved to fail",
-            report.reachable_proved_fail()
-        );
-        ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_ipa(args: &[String]) -> ExitCode {
-    let file = match args.first() {
-        Some(f) => f,
-        None => {
-            eprintln!("error: missing script path");
-            return ExitCode::from(2);
-        }
-    };
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(150);
-    let as_json = args.iter().any(|a| a == "--json");
-    let report = match nomap_vm::ipa_source(&src, arch, warmup) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if as_json {
-        println!("{}", report.to_json(arch).render());
-    } else {
+fn cmd_ipa(args: &[String]) -> Outcome {
+    cmd_report(args, |arch, report: &IpaReport| {
         println!("--- interprocedural summary report ({}) ---", arch.name());
         print!("{}", report.render());
-    }
-    ExitCode::SUCCESS
+    })
 }
 
-fn cmd_memdep(args: &[String]) -> ExitCode {
-    let file = match args.first() {
-        Some(f) => f,
-        None => {
-            eprintln!("error: missing script path");
-            return ExitCode::from(2);
-        }
-    };
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(150);
-    let as_json = args.iter().any(|a| a == "--json");
-    let report = match nomap_vm::memdep_source(&src, arch, warmup) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if as_json {
-        println!("{}", report.to_json(arch).render());
-    } else {
+fn cmd_memdep(args: &[String]) -> Outcome {
+    cmd_report(args, |arch, report: &MemdepReport| {
         println!("--- memory-dependence transform census ({}) ---", arch.name());
         print!("{}", report.render());
-    }
-    if report.total_tv_errors() == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("error: {} memdep-tv witness(es) failed to re-derive", report.total_tv_errors());
-        ExitCode::FAILURE
-    }
+    })
 }
 
 /// `nomap aborts` — abort forensics and the static-vs-dynamic footprint
-/// calibration observatory. With a script argument it reports one
-/// program; without one it sweeps the whole bundled corpus through the
-/// sharded fleet harness, printing one canonical-order calibration line
-/// per workload (stdout is byte-identical for any `--jobs` value;
-/// scheduling telemetry goes to stderr). Exits nonzero when any workload
-/// has an unexplained under-prediction.
-fn cmd_aborts(args: &[String]) -> ExitCode {
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(150);
-    let top: usize = flag_value(args, "--top").and_then(|s| s.parse().ok()).unwrap_or(20);
-    let as_json = args.iter().any(|a| a == "--json");
-    let calibration_only = args.iter().any(|a| a == "--calibration");
-
-    // Contention mode: the shared-heap conflict-soundness audit.
-    if args.iter().any(|a| a == "--contention") {
-        return cmd_aborts_contention(args, arch, as_json);
+/// calibration observatory for one script; the corpus sweep is
+/// `nomap census aborts`.
+fn cmd_aborts(args: &[String]) -> Outcome {
+    if has_switch(args, "--contention") {
+        return cmd_aborts_contention(args);
     }
-
-    // File mode: the first argument names a script.
-    if let Some(file) = args.first().filter(|a| !a.starts_with("--")) {
-        let src = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = match nomap_vm::aborts_source(&src, arch, warmup) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if as_json {
-            println!("{}", report.to_json(arch).render());
-        } else {
-            println!("--- abort forensics ({}) ---", arch.name());
-            if calibration_only {
-                print!("{}", report.render(0));
-            } else {
-                print!("{}", report.render(top));
-            }
-        }
-        return if report.unexplained_under_predictions() == 0 {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "error: {} unexplained under-prediction(s)",
-                report.unexplained_under_predictions()
-            );
-            ExitCode::FAILURE
-        };
+    if positionals(args).is_empty() {
+        return Err(usage_error("missing script path (the corpus sweep is `nomap census aborts`)"));
     }
-
-    // Corpus mode: one calibration line per workload, canonical order.
-    let fleet = match FleetConfig::from_args(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let workloads = corpus();
-    let run = nomap_fleet::run_sharded(workloads.len(), &fleet, |i| {
-        nomap_vm::aborts_source(workloads[i].source, arch, warmup).map_err(|e| e.to_string())
-    });
-    let mut unexplained = 0usize;
-    let mut failed = 0usize;
-    let mut docs: Vec<JsonValue> = Vec::new();
-    for shard in &run.shards {
-        let id = workloads[shard.index].id;
-        match &shard.outcome {
-            Ok(r) => {
-                println!("{id:<6} {}", r.summary());
-                unexplained += r.unexplained_under_predictions();
-                if as_json {
-                    docs.push(obj(vec![("id", id.into()), ("report", r.to_json(arch))]));
-                }
-            }
-            Err(e) => {
-                println!("{id:<6} FAILED after {} attempt(s): {e}", shard.attempts);
-                failed += 1;
-            }
-        }
-    }
-    println!(
-        "aborts: {} workloads under {}: {} unexplained under-prediction(s), {} failed",
-        run.summary.shards,
-        arch.name(),
-        unexplained,
-        failed
-    );
-    if as_json {
-        let doc = obj(vec![
-            ("arch", arch.name().into()),
-            ("workloads", JsonValue::Array(docs)),
-            ("unexplained", unexplained.into()),
-        ]);
-        println!("{}", doc.render());
-    }
-    report_summary(&run.summary);
-    if unexplained > 0 || failed > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    let top = parsed_flag(args, "--top").map_err(usage_error)?.unwrap_or(20);
+    let top = if has_switch(args, "--calibration") { 0 } else { top };
+    cmd_report(args, |arch, report: &AbortsReport| {
+        println!("--- abort forensics ({}) ---", arch.name());
+        print!("{}", report.render(top));
+    })
 }
 
 /// `nomap aborts --contention` — runs every contention workload under
@@ -720,14 +542,10 @@ fn cmd_aborts(args: &[String]) -> ExitCode {
 /// inside the aborting agent's shared-segment window. Stdout is
 /// canonical-order and byte-identical for any `--jobs`; exits nonzero on
 /// any diagnostic or shard failure.
-fn cmd_aborts_contention(args: &[String], arch: Architecture, as_json: bool) -> ExitCode {
-    let fleet = match FleetConfig::from_args(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_aborts_contention(args: &[String]) -> Outcome {
+    let arch = arch_flag(args).map_err(usage_error)?.unwrap_or(Architecture::NoMap);
+    let fleet = FleetConfig::from_args(args).map_err(usage_error)?;
+    let as_json = has_switch(args, "--json");
     let workloads = nomap_workloads::contention();
     let mut jobs = Vec::new();
     for w in &workloads {
@@ -791,41 +609,71 @@ fn cmd_aborts_contention(args: &[String], arch: Architecture, as_json: bool) -> 
         println!("{}", doc.render());
     }
     report_summary(&run.summary);
-    if diags > 0 || failed > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    status(diags > 0 || failed > 0)
 }
 
-fn cmd_disasm(args: &[String]) -> ExitCode {
-    let func = match args.get(1) {
-        Some(f) => f.clone(),
-        None => {
-            eprintln!("error: missing function name");
-            return ExitCode::from(2);
+/// `nomap census` — the static-vs-dynamic reports over the whole bundled
+/// corpus. Each (architecture, workload) pair the requested reports need
+/// is warmed once and feeds every report; documents come out in canonical
+/// order, byte-identical for any `--jobs`. Exits nonzero when a shard
+/// fails or any report's failure predicate fires.
+fn cmd_census(args: &[String]) -> Outcome {
+    let (spec, fleet, out) = census_args(args).map_err(usage_error)?;
+    let census = run_census(&corpus(), &spec, &fleet);
+    for e in &census.errors {
+        eprintln!("error: {e}");
+    }
+    report_summary(&census.summary);
+    match out {
+        Some(dir) => {
+            let dir = Path::new(dir);
+            std::fs::create_dir_all(dir).map_err(|e| failure(format!("{}: {e}", dir.display())))?;
+            for doc in &census.documents {
+                for (ext, body) in [("txt", &doc.text), ("json", &doc.json)] {
+                    let path = dir.join(format!("{}.{ext}", doc.name));
+                    std::fs::write(&path, body)
+                        .map_err(|e| failure(format!("{}: {e}", path.display())))?;
+                }
+            }
+            eprintln!(
+                "census: {} document(s) written to {}",
+                census.documents.len(),
+                dir.display()
+            );
         }
-    };
-    let (mut vm, _) = match build_vm(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let tier = match flag_value(args, "--tier") {
+        None => census.documents.iter().for_each(|doc| print!("{}", doc.text)),
+    }
+    status(!census.errors.is_empty())
+}
+
+/// Parses `nomap census` arguments: report kinds (all five when none is
+/// named), `--arch`, `--warmup` (default 40), `--jobs` and `--out`.
+fn census_args(args: &[String]) -> Result<(CensusSpec, FleetConfig, Option<&str>), String> {
+    let (arch, warmup) = (arch_flag(args)?, parsed_flag(args, "--warmup")?.unwrap_or(40));
+    let (fleet, out) = (FleetConfig::from_args(args)?, flag_value(args, "--out")?);
+    let mut kinds = Vec::new();
+    for name in positionals(args) {
+        kinds.push(Kind::parse(name).ok_or_else(|| {
+            let known: Vec<&str> = Kind::ALL.iter().map(|k| k.name()).collect();
+            format!("unknown census kind `{name}` (expected one of {})", known.join(", "))
+        })?);
+    }
+    if kinds.is_empty() {
+        kinds = Kind::ALL.to_vec();
+    }
+    Ok((CensusSpec { kinds, arch, warmup }, fleet, out))
+}
+
+fn cmd_disasm(args: &[String]) -> Outcome {
+    let func = *positionals(args).get(1).ok_or_else(|| usage_error("missing function name"))?;
+    let mut vm = build_vm(args)?;
+    let tier = match flag_value(args, "--tier").map_err(usage_error)? {
         Some("baseline") => Tier::Baseline,
         Some("dfg") => Tier::Dfg,
         None | Some("ftl") => Tier::Ftl,
-        Some(other) => {
-            eprintln!("error: unknown tier `{other}`");
-            return ExitCode::from(2);
-        }
+        Some(other) => return Err(usage_error(format!("--tier: unknown tier `{other}`"))),
     };
-    if let Err(e) = vm.run_main() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    vm.run_main().map_err(failure)?;
     if vm.program.function_ids.contains_key("run") {
         for _ in 0..150 {
             if vm.call("run", &[]).is_err() {
@@ -833,54 +681,34 @@ fn cmd_disasm(args: &[String]) -> ExitCode {
             }
         }
     }
-    match vm.disassemble(&func, tier) {
-        Some(text) => {
-            println!("; {} at {tier:?} under {}", func, vm.config.arch.name());
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("error: `{func}` has no {tier:?} code (not hot enough, or unknown function)");
-            ExitCode::FAILURE
-        }
-    }
+    let text = vm.disassemble(func, tier).ok_or_else(|| {
+        failure(format!("`{func}` has no {tier:?} code (not hot enough, or unknown function)"))
+    })?;
+    println!("; {} at {tier:?} under {}", func, vm.config.arch.name());
+    print!("{text}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The steady-state corpus spec both corpus sweeps share: `--arch`
+/// (default `NoMap`) and `--warmup` (default 120).
+fn corpus_spec(args: &[String]) -> Result<RunSpec, ExitCode> {
+    let mut spec =
+        RunSpec::steady(arch_flag(args).map_err(usage_error)?.unwrap_or(Architecture::NoMap));
+    spec.warmup = parsed_flag(args, "--warmup").map_err(usage_error)?.unwrap_or(120);
+    Ok(spec)
 }
 
 /// `nomap corpus` — run every bundled workload (SunSpider, Kraken,
-/// Shootout; 52 in all) through the sharded fleet harness and print one
+/// Shootout; 53 in all) through the sharded fleet harness and print one
 /// canonical-order line per workload plus a merged corpus summary.
 /// Scheduling telemetry (wall-times, queue occupancy) goes to stderr so
 /// stdout stays byte-identical for any `--jobs` value.
-fn cmd_corpus(args: &[String]) -> ExitCode {
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let fleet = match FleetConfig::from_args(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(120);
-    let mut spec = RunSpec::steady(arch);
-    spec.warmup = warmup;
-    if let Some(s) = flag_value(args, "--budget") {
-        match s.parse::<u64>() {
-            Ok(cycles) => spec = spec.with_budget(cycles),
-            Err(_) => {
-                eprintln!("error: --budget wants a cycle count");
-                return ExitCode::from(2);
-            }
-        }
+fn cmd_corpus(args: &[String]) -> Outcome {
+    let mut spec = corpus_spec(args)?;
+    if let Some(cycles) = parsed_flag(args, "--budget").map_err(usage_error)? {
+        spec = spec.with_budget(cycles);
     }
+    let fleet = FleetConfig::from_args(args).map_err(usage_error)?;
     let specs: Vec<_> = corpus().into_iter().map(|w| (w, spec)).collect();
     let run = run_corpus_sharded(&specs, &fleet);
     for shard in &run.shards {
@@ -905,7 +733,7 @@ fn cmd_corpus(args: &[String]) -> ExitCode {
     println!(
         "corpus: {} workloads under {}: {} insts, {} cycles, {} tx committed, {} profiled cycles, {} failed",
         run.summary.shards,
-        arch.name(),
+        spec.config.arch.name(),
         merged.stats.total_insts(),
         merged.stats.total_cycles(),
         merged.stats.tx_committed,
@@ -913,11 +741,7 @@ fn cmd_corpus(args: &[String]) -> ExitCode {
         run.summary.failed
     );
     report_summary(&run.summary);
-    if run.summary.failed > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    status(run.summary.failed > 0)
 }
 
 /// Top-`top` rows of a census map, count-descending then name ascending —
@@ -944,35 +768,16 @@ fn census_table(
 /// events and fleet scheduling telemetry go to stderr. Exits nonzero on
 /// shard failure or a span-conservation violation (a parent span reporting
 /// less wall time or allocation than the sum of its direct children).
-fn cmd_hostprof(args: &[String]) -> ExitCode {
-    let arch = match flag_value(args, "--arch") {
-        Some(s) => match parse_arch(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("error: unknown architecture `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => Architecture::NoMap,
-    };
-    let fleet = match FleetConfig::from_args(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let warmup: u32 = flag_value(args, "--warmup").and_then(|s| s.parse().ok()).unwrap_or(120);
-    let top: usize = flag_value(args, "--top").and_then(|s| s.parse().ok()).unwrap_or(32);
-    let as_json = args.iter().any(|a| a == "--json");
-    let digrams_only = args.iter().any(|a| a == "--digrams");
-    let flame_path = flag_value(args, "--flame").map(str::to_owned);
-    let hostbench_dir = flag_value(args, "--hostbench-dir").map(str::to_owned);
+fn cmd_hostprof(args: &[String]) -> Outcome {
+    let spec = corpus_spec(args)?;
+    let top = parsed_flag(args, "--top").map_err(usage_error)?.unwrap_or(32);
+    let flame_path = flag_value(args, "--flame").map_err(usage_error)?;
+    let hostbench_dir = flag_value(args, "--hostbench-dir").map_err(usage_error)?;
+    let fleet = FleetConfig::from_args(args).map_err(usage_error)?;
+    let as_json = has_switch(args, "--json");
 
     nomap_hostprof::reset();
     nomap_hostprof::set_enabled(true);
-    let mut spec = RunSpec::steady(arch);
-    spec.warmup = warmup;
     let specs: Vec<_> = corpus().into_iter().map(|w| (w, spec)).collect();
     let run = run_corpus_sharded(&specs, &fleet);
     nomap_hostprof::set_enabled(false);
@@ -985,21 +790,21 @@ fn cmd_hostprof(args: &[String]) -> ExitCode {
     }
     let merged = CorpusMerge::from_runs(run.shards.iter().filter_map(|s| s.outcome.as_ref().ok()));
     let report = nomap_hostprof::snapshot();
+    let doc = || {
+        nomap_hostprof::render_doc(
+            "corpus",
+            &report,
+            &merged.metrics.opcodes,
+            &merged.metrics.digrams,
+        )
+    };
 
-    if digrams_only {
+    if has_switch(args, "--digrams") {
         print!("{}", census_table("digram", &merged.metrics.digrams, top));
     } else if as_json {
-        print!(
-            "{}",
-            nomap_hostprof::render_doc(
-                "corpus",
-                &report,
-                &merged.metrics.opcodes,
-                &merged.metrics.digrams
-            )
-        );
+        print!("{}", doc());
     } else {
-        println!("--- opcode census (dynamic counts, {}) ---", arch.name());
+        println!("--- opcode census (dynamic counts, {}) ---", spec.config.arch.name());
         print!("{}", census_table("opcode", &merged.metrics.opcodes, top));
         println!();
         println!("--- digram census (dynamic counts, statically adjacent) ---");
@@ -1028,30 +833,90 @@ fn cmd_hostprof(args: &[String]) -> ExitCode {
         eprintln!("conservation violation: {v}");
     }
 
-    if let Some(path) = &flame_path {
-        if let Err(e) = std::fs::write(path, report.collapsed()) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = flame_path {
+        std::fs::write(path, report.collapsed()).map_err(|e| failure(format!("{path}: {e}")))?;
         eprintln!("flamegraph: collapsed stacks written to {path}");
     }
-    if let Some(dir) = &hostbench_dir {
-        let doc = nomap_hostprof::render_doc(
-            "corpus",
-            &report,
-            &merged.metrics.opcodes,
-            &merged.metrics.digrams,
-        );
-        let path = std::path::Path::new(dir).join("HOSTBENCH_corpus.json");
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("error: {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = hostbench_dir {
+        let path = Path::new(dir).join("HOSTBENCH_corpus.json");
+        std::fs::write(&path, doc()).map_err(|e| failure(format!("{}: {e}", path.display())))?;
         eprintln!("hostbench: host telemetry written to {}", path.display());
     }
-    if run.summary.failed > 0 || !violations.is_empty() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    status(run.summary.failed > 0 || !violations.is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn missing_arch_value_is_a_usage_error() {
+        assert_eq!(arch_flag(&args("t.js --arch")), Err("--arch: missing value".to_owned()));
+        assert_eq!(arch_flag(&args("--arch --jobs 2")), Err("--arch: missing value".to_owned()));
+    }
+
+    #[test]
+    fn unknown_arch_is_a_usage_error() {
+        let err = arch_flag(&args("--arch x.json")).unwrap_err();
+        assert!(err.starts_with("--arch:"), "{err}");
+        assert_eq!(arch_flag(&args("--arch nomap_rtm")), Ok(Some(Architecture::NoMapRtm)));
+        assert_eq!(arch_flag(&args("t.js")), Ok(None));
+    }
+
+    #[test]
+    fn missing_warmup_value_is_a_usage_error() {
+        assert_eq!(
+            parsed_flag::<u32>(&args("t.js --warmup"), "--warmup"),
+            Err("--warmup: missing value".to_owned())
+        );
+    }
+
+    #[test]
+    fn malformed_warmup_is_a_usage_error() {
+        let err = parsed_flag::<u32>(&args("t.js --warmup abc"), "--warmup").unwrap_err();
+        assert!(err.starts_with("--warmup:"), "{err}");
+        assert_eq!(parsed_flag::<u32>(&args("t.js --warmup 7"), "--warmup"), Ok(Some(7)));
+    }
+
+    #[test]
+    fn missing_jobs_value_is_a_usage_error() {
+        for line in ["--jobs", "prove --jobs --out dir"] {
+            let err = census_args(&args(line)).unwrap_err();
+            assert!(err.starts_with("--jobs:"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn malformed_jobs_is_a_usage_error() {
+        for line in ["--jobs two", "--jobs 0"] {
+            let err = census_args(&args(line)).unwrap_err();
+            assert!(err.starts_with("--jobs:"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn flag_values_are_never_positionals() {
+        let a = args("prove --out x.json --jobs 2 --arch Base --warmup 40 --json memdep");
+        assert_eq!(positionals(&a), ["prove", "memdep"]);
+        let (spec, fleet, out) = census_args(&a).unwrap();
+        assert_eq!(spec.kinds, [Kind::Prove, Kind::Memdep]);
+        assert_eq!(spec.arch, Some(Architecture::Base));
+        assert_eq!(spec.warmup, 40);
+        assert_eq!(fleet.jobs, 2);
+        assert_eq!(out, Some("x.json"));
+    }
+
+    #[test]
+    fn census_defaults_to_every_kind_and_rejects_unknown_ones() {
+        let none = args("");
+        let (spec, _, out) = census_args(&none).unwrap();
+        assert_eq!(spec.kinds, Kind::ALL);
+        assert_eq!((spec.arch, spec.warmup, out), (None, 40, None));
+        let err = census_args(&args("lint_corpus")).unwrap_err();
+        assert!(err.contains("unknown census kind `lint_corpus`"), "{err}");
     }
 }

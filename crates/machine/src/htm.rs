@@ -65,8 +65,8 @@ pub fn abort_reason_index(reason: AbortReason) -> usize {
 }
 
 /// Canonical coarse name of an abort reason (`check`, `capacity`,
-/// `sticky-overflow`). `nomap_trace::abort_reason_name` delegates here so
-/// the JSONL stream, the stats slots and the profile keys cannot drift.
+/// `sticky-overflow`, `conflict`): the JSONL `reason` member and the
+/// `ExecStats` slot names.
 pub fn abort_reason_class(reason: AbortReason) -> &'static str {
     ABORT_CLASSES[abort_reason_index(reason)]
 }
@@ -84,8 +84,8 @@ pub fn check_kind_key(kind: CheckKind) -> &'static str {
 }
 
 /// Canonical composite abort bookkeeping key: check aborts keep their kind
-/// (`check:bounds`), the rest use their class name. `nomap_profile` and
-/// the trace metrics registry both delegate here — one table, no copies.
+/// (`check:bounds`), the rest use their class name. The `ProfileData` and
+/// trace `Metrics` abort tables are keyed by it.
 pub fn abort_reason_key(reason: AbortReason) -> String {
     match reason {
         AbortReason::Check(k) => format!("check:{}", check_kind_key(k)),

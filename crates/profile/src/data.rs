@@ -54,21 +54,6 @@ pub struct ProfileData {
     pub abort_read_footprint: BTreeMap<u32, Histogram>,
 }
 
-/// Stable reason name for abort bookkeeping (check aborts keep their kind:
-/// `check:bounds`, ...). Exhaustive on purpose: a new `AbortReason`
-/// variant must fail to compile here rather than fall into a catch-all;
-/// the drift test pins every arm to the canonical
-/// `nomap_machine::abort_reason_key` table — the same one the trace
-/// metrics registry and `ExecStats` slot order derive from.
-pub fn abort_key(reason: AbortReason) -> String {
-    match reason {
-        AbortReason::Check(k) => format!("check:{}", nomap_machine::check_kind_key(k)),
-        AbortReason::Capacity => "capacity".to_owned(),
-        AbortReason::StickyOverflow => "sticky-overflow".to_owned(),
-        AbortReason::Conflict { .. } => "conflict".to_owned(),
-    }
-}
-
 impl ProfileData {
     /// Empty profile.
     pub fn new() -> Self {
@@ -103,7 +88,7 @@ impl ProfileData {
     /// Records one transaction abort owned by `func` with the footprint at
     /// the abort point.
     pub fn record_abort(&mut self, func: u32, reason: AbortReason, footprint_bytes: u64) {
-        *self.aborts.entry((func, abort_key(reason))).or_insert(0) += 1;
+        *self.aborts.entry((func, nomap_machine::abort_reason_key(reason))).or_insert(0) += 1;
         self.abort_footprint.entry(func).or_default().record(footprint_bytes);
     }
 
@@ -246,63 +231,6 @@ mod tests {
         assert_eq!(p.deopt_sites[&(0, 1)].count, u64::MAX);
         assert_eq!(p.aborts[&(0, "capacity".to_owned())], u64::MAX);
         assert_eq!(p.ledger.total(), u64::MAX);
-    }
-
-    #[test]
-    fn abort_keys_are_stable() {
-        assert_eq!(abort_key(AbortReason::Capacity), "capacity");
-        assert_eq!(abort_key(AbortReason::StickyOverflow), "sticky-overflow");
-        assert_eq!(abort_key(AbortReason::Check(CheckKind::Type)), "check:type");
-        assert_eq!(abort_key(AbortReason::Conflict { agent: 5 }), "conflict");
-    }
-
-    /// Drift gate for the canonical abort-reason mapping: the profile key,
-    /// the trace-metrics key, the JSONL `reason`/`check` members and the
-    /// `ExecStats::tx_aborts` slot must all agree with `nomap_machine`'s
-    /// single table, for every reason.
-    #[test]
-    fn abort_reason_mapping_agrees_across_all_call_sites() {
-        let mut reasons = vec![
-            AbortReason::Capacity,
-            AbortReason::StickyOverflow,
-            AbortReason::Conflict { agent: 1 },
-        ];
-        reasons.extend(CheckKind::ALL.into_iter().map(AbortReason::Check));
-        for reason in reasons {
-            let canonical = nomap_machine::abort_reason_key(reason);
-            // 1. This crate's bookkeeping key.
-            assert_eq!(abort_key(reason), canonical);
-            // 2. The trace metrics registry's aborts_by_reason key.
-            let mut m = nomap_trace::Metrics::new();
-            m.observe(&nomap_trace::TraceEvent::TxAbort {
-                func: Some(0),
-                reason,
-                footprint_bytes: 0,
-                undone_words: 0,
-                instructions: 0,
-            });
-            assert_eq!(
-                m.aborts_by_reason.keys().collect::<Vec<_>>(),
-                vec![&canonical],
-                "trace metrics key drifted for {reason:?}"
-            );
-            // 3. The JSONL rendering: coarse class plus the check kind.
-            assert_eq!(
-                nomap_trace::abort_reason_name(reason),
-                nomap_machine::abort_reason_class(reason)
-            );
-            // 4. The ExecStats slot: index and class name line up.
-            let mut stats = nomap_machine::ExecStats::new();
-            stats.add_abort(reason);
-            let idx = nomap_machine::abort_reason_index(reason);
-            assert_eq!(stats.tx_aborts[idx], 1);
-            assert_eq!(
-                nomap_machine::ABORT_CLASSES[idx],
-                nomap_machine::abort_reason_class(reason)
-            );
-            // The composite key's class prefix matches the coarse class.
-            assert!(canonical.starts_with(nomap_machine::abort_reason_class(reason)));
-        }
     }
 
     #[test]

@@ -296,17 +296,12 @@ pub fn check_name(kind: CheckKind) -> &'static str {
     nomap_machine::check_kind_key(kind)
 }
 
-/// Names an abort reason for rendering/serialization (check aborts carry
-/// the check kind, conflict aborts the agent id, separately). Exhaustive
-/// on purpose: a new `AbortReason` variant must fail to compile here
-/// rather than fall into a catch-all; the cross-crate drift test pins
-/// every arm to `nomap_machine::abort_reason_class`.
-pub fn abort_reason_name(reason: AbortReason) -> &'static str {
+/// How the text rendering names an abort: its bookkeeping key, with the
+/// conflicting agent for conflict aborts.
+fn abort_label(reason: AbortReason) -> String {
     match reason {
-        AbortReason::Check(_) => "check",
-        AbortReason::Capacity => "capacity",
-        AbortReason::StickyOverflow => "sticky-overflow",
-        AbortReason::Conflict { .. } => "conflict",
+        AbortReason::Conflict { agent } => format!("conflict:a{agent}"),
+        other => nomap_machine::abort_reason_key(other),
     }
 }
 
@@ -383,7 +378,7 @@ impl TraceEvent {
                     Some(f) => m.push(("func", (*f).into())),
                     None => m.push(("func", JsonValue::Null)),
                 }
-                m.push(("reason", abort_reason_name(*reason).into()));
+                m.push(("reason", nomap_machine::abort_reason_class(*reason).into()));
                 if let AbortReason::Check(kind) = reason {
                     m.push(("check", check_name(*kind).into()));
                 }
@@ -420,7 +415,7 @@ impl TraceEvent {
                 m.push(("name", name.as_str().into()));
                 m.push(("tier", tier_name(*tier).into()));
                 m.push(("bc", (*bc).into()));
-                m.push(("reason", abort_reason_name(*reason).into()));
+                m.push(("reason", nomap_machine::abort_reason_class(*reason).into()));
                 if let AbortReason::Check(kind) = reason {
                     m.push(("check", check_name(*kind).into()));
                 }
@@ -572,11 +567,7 @@ impl TraceEvent {
                 )
             }
             TraceEvent::TxAbort { reason, footprint_bytes, undone_words, instructions, .. } => {
-                let why = match reason {
-                    AbortReason::Check(kind) => format!("check:{}", check_name(*kind)),
-                    AbortReason::Conflict { agent } => format!("conflict:a{agent}"),
-                    other => abort_reason_name(*other).to_owned(),
-                };
+                let why = abort_label(*reason);
                 format!(
                     "tx-abort     {why}  [{instructions} insts, {footprint_bytes} B footprint, {undone_words} words undone]"
                 )
@@ -597,11 +588,7 @@ impl TraceEvent {
                 read_bytes,
                 ..
             } => {
-                let why = match reason {
-                    AbortReason::Check(kind) => format!("check:{}", check_name(*kind)),
-                    AbortReason::Conflict { agent } => format!("conflict:a{agent}"),
-                    other => abort_reason_name(*other).to_owned(),
-                };
+                let why = abort_label(*reason);
                 let site = match set {
                     Some(s) => {
                         let rw = if *read_fault { "rd" } else { "wr" };
@@ -786,21 +773,6 @@ mod tests {
         let line = ev.render(0, 0);
         assert!(line.contains("check:type #1"));
         assert!(!line.contains("set "), "no fault site to render");
-    }
-
-    #[test]
-    fn name_tables_delegate_to_machine() {
-        for kind in CheckKind::ALL {
-            assert_eq!(check_name(kind), nomap_machine::check_kind_key(kind));
-        }
-        for reason in [
-            AbortReason::Check(CheckKind::Bounds),
-            AbortReason::Capacity,
-            AbortReason::StickyOverflow,
-            AbortReason::Conflict { agent: 3 },
-        ] {
-            assert_eq!(abort_reason_name(reason), nomap_machine::abort_reason_class(reason));
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ mod json;
 mod metrics;
 mod sink;
 
-pub use event::{abort_reason_name, check_name, tier_name, TraceEvent, SCHEMA_VERSION};
+pub use event::{check_name, tier_name, TraceEvent, SCHEMA_VERSION};
 pub use json::{obj, JsonValue};
 pub use metrics::{Histogram, Metrics, TierResidency};
 pub use sink::{JsonlSink, Recorded, RingSink, TraceSink};

@@ -55,17 +55,14 @@
 //! emission order, rows in function-id order, and no wall-clock enters
 //! the report.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use nomap_core::{compile_ftl_audited, Architecture, AuditOptions, TxnScope};
+use nomap_core::{compile_ftl_audited, Architecture, AuditOptions};
 use nomap_ir::passes::PassConfig;
 use nomap_machine::{abort_reason_key, Tier};
-use nomap_trace::{obj, tier_name, JsonValue, TraceEvent, TraceSink};
+use nomap_trace::{obj, tier_name, JsonValue, TraceEvent};
 use nomap_verify::ScopeAdvice;
 
+use crate::corpus::{CorpusReport, Warmed};
 use crate::error::VmError;
-use crate::vm::{Vm, VmConfig};
 
 /// One attributed transactional abort (the `tx-abort-blame` payload plus
 /// its cycle stamp).
@@ -324,9 +321,237 @@ impl AbortsReport {
         out.push_str(&format!("aborts: {}\n", self.summary()));
         out
     }
+}
 
-    /// Whole-report JSON (the CI census artifact).
-    pub fn to_json(&self, arch: Architecture) -> JsonValue {
+impl CorpusReport for AbortsReport {
+    const KIND: &'static str = "aborts";
+    const ARCHS: &'static [Architecture] = &[Architecture::NoMap, Architecture::NoMapRtm];
+    const FAILURE: &'static str = "unexplained under-prediction(s)";
+
+    /// Folds the warm-up's blame and ladder events and profile into
+    /// per-function facts, then recompiles every function through the
+    /// audited FTL pipeline with footprint seeding under the
+    /// interprocedural summary table: the seeded scope is the prediction.
+    fn analyze(w: &mut Warmed) -> Result<Self, VmError> {
+        let arch = w.arch();
+        let scope0 = w.ftl_scope();
+        let vm = &mut w.vm;
+        let model = arch.htm_model();
+        let capacity_lines = model.write_cache.size_bytes / model.write_cache.line_bytes;
+        let line_bytes = model.write_cache.line_bytes;
+        let mut report = AbortsReport { capacity_lines, line_bytes, ..AbortsReport::default() };
+
+        // Dynamic half: fold the collected events into per-function facts.
+        let nfuncs = vm.funcs.len();
+        let mut ladder_steps = vec![0u64; nfuncs];
+        let mut saw_call = vec![false; nfuncs];
+        let mut set_conflict = vec![false; nfuncs];
+        let mut read_set = vec![false; nfuncs];
+        let mut total_overflow = vec![false; nfuncs];
+        let mut unopt_tier = vec![false; nfuncs];
+        let mut set_faults = vec![0u64; nfuncs];
+        for (cycles, ev) in &w.events {
+            match ev {
+                TraceEvent::LadderStep { func, saw_call: sc, .. } => {
+                    if let Some(i) = usize::try_from(*func).ok().filter(|&i| i < nfuncs) {
+                        ladder_steps[i] += 1;
+                        saw_call[i] |= *sc;
+                    }
+                }
+                TraceEvent::TxAbortBlame {
+                    func,
+                    name,
+                    tier,
+                    bc,
+                    reason,
+                    scope,
+                    attempt,
+                    word_addr: _,
+                    line: _,
+                    set,
+                    set_ways,
+                    read_fault,
+                    write_lines,
+                    write_bytes,
+                    read_lines,
+                    read_bytes,
+                    instructions,
+                } => {
+                    if let Some(i) =
+                        func.and_then(|f| usize::try_from(f).ok()).filter(|&i| i < nfuncs)
+                    {
+                        if set.is_some() {
+                            set_faults[i] += 1;
+                            // The victim set overflowed its ways while the
+                            // whole write set still fit: an associativity
+                            // conflict the total-line estimator cannot see.
+                            if !read_fault && *write_lines < capacity_lines {
+                                set_conflict[i] = true;
+                            }
+                            // The faulting access was a *read* (RTM read-set
+                            // tracking): the write-footprint estimator does
+                            // not model read sets at all.
+                            if *read_fault {
+                                read_set[i] = true;
+                            }
+                            // The write set genuinely exceeded total capacity,
+                            // so the estimator's proven lower bound missed
+                            // real store traffic (non-IV addressing, nested
+                            // loops, …).
+                            if !read_fault && *write_lines > capacity_lines {
+                                total_overflow[i] = true;
+                            }
+                            if *tier != Tier::Ftl {
+                                unopt_tier[i] = true;
+                            }
+                        }
+                    }
+                    report.sites.push(AbortSite {
+                        cycles: *cycles,
+                        func: *func,
+                        name: name.clone(),
+                        tier: *tier,
+                        bc: *bc,
+                        reason: abort_reason_key(*reason),
+                        scope: scope.clone(),
+                        attempt: *attempt,
+                        set: *set,
+                        set_ways: *set_ways,
+                        read_fault: *read_fault,
+                        write_lines: *write_lines,
+                        write_bytes: *write_bytes,
+                        read_lines: *read_lines,
+                        read_bytes: *read_bytes,
+                        instructions: *instructions,
+                    });
+                }
+                _ => {}
+            }
+        }
+
+        // Static half: the seeded audit's scope delta is the prediction.
+        let ipa = vm.summaries().clone();
+        let passes = PassConfig::ftl();
+        let seed_opts = AuditOptions { verify: false, seed_scope: true };
+        let profile = vm.profile().cloned().unwrap_or_default();
+
+        for id in 0..nfuncs {
+            let func = vm.funcs[id].clone();
+            let fid = id as u32;
+            let audit = compile_ftl_audited(
+                &func,
+                &mut vm.rt,
+                arch,
+                scope0,
+                passes,
+                seed_opts,
+                Some(&ipa),
+            )?;
+            let predicted = audit.scope_used != audit.scope_requested;
+            let (advice, est_lines, unproven_loops) = match &audit.footprint {
+                Some(est) => (
+                    match est.advice {
+                        ScopeAdvice::Keep => "keep".to_owned(),
+                        ScopeAdvice::Tile(t) => format!("tile({t})"),
+                        ScopeAdvice::Disable => "disable".to_owned(),
+                    },
+                    est.loops.iter().map(|l| l.lines_lower_bound).max().unwrap_or(0),
+                    est.loops.iter().filter(|l| l.trip.is_none() && l.bytes_per_iter > 0).count()
+                        as u32,
+                ),
+                None => ("-".to_owned(), 0, 0),
+            };
+
+            let commits = profile.tx_commits.get(&fid).copied().unwrap_or(0);
+            let mut aborts = std::collections::BTreeMap::new();
+            for ((f, key), n) in &profile.aborts {
+                if *f == fid {
+                    *aborts.entry(key.clone()).or_insert(0) += n;
+                }
+            }
+            let capacity = aborts.get("capacity").copied().unwrap_or(0);
+            let total_aborts: u64 = aborts.values().sum();
+            let ran_ftl = vm.code[id].ftl.is_some() || ladder_steps[id] > 0 || commits > 0;
+            if commits == 0 && total_aborts == 0 && !(predicted && ran_ftl) {
+                continue; // no transactional activity and nothing predicted
+            }
+
+            let verdict = match (predicted, capacity > 0) {
+                (true, true) => "predicted-abort-and-aborted",
+                (true, false) => "over-prediction",
+                (false, true) => "under-prediction",
+                (false, false) => "predicted-safe-and-safe",
+            };
+            let explanation = if verdict == "under-prediction" {
+                if set_conflict[id] {
+                    Some("set-conflict".to_owned())
+                } else if read_set[id] {
+                    Some("read-set".to_owned())
+                } else if saw_call[id] {
+                    Some("callee-traffic".to_owned())
+                } else if unopt_tier[id] {
+                    Some("unopt-tier".to_owned())
+                } else if unproven_loops > 0 {
+                    Some("unproven-trip".to_owned())
+                } else if total_overflow[id] {
+                    Some("uncounted-stores".to_owned())
+                } else {
+                    None
+                }
+            } else {
+                None
+            };
+
+            report.rows.push(AbortsFnRow {
+                func: fid,
+                name: func.name.clone(),
+                commits,
+                commit_write_max: profile.commit_footprint.get(&fid).map_or(0, |h| h.max),
+                commit_read_max: profile.commit_read_footprint.get(&fid).map_or(0, |h| h.max),
+                aborts,
+                capacity,
+                set_faults: set_faults[id],
+                abort_write_max: profile.abort_footprint.get(&fid).map_or(0, |h| h.max),
+                abort_read_max: profile.abort_read_footprint.get(&fid).map_or(0, |h| h.max),
+                ladder_steps: ladder_steps[id],
+                saw_call: saw_call[id],
+                final_scope: format!("{:?}", vm.code[id].scope),
+                scope_requested: format!("{:?}", audit.scope_requested),
+                scope_seeded: format!("{:?}", audit.scope_used),
+                predicted_abort: predicted,
+                advice,
+                est_lines,
+                unproven_loops,
+                verdict: verdict.to_owned(),
+                explanation,
+            });
+        }
+        Ok(report)
+    }
+
+    fn document(_arch: Architecture) -> String {
+        "abort_census".to_owned()
+    }
+
+    fn lines(&self, id: &str, arch: Architecture) -> Vec<String> {
+        vec![format!("{:<9} {id} {}", arch.name(), self.summary())]
+    }
+
+    fn summary_line(_archs: &[Architecture], reports: &[&Self]) -> String {
+        let verdicts = |v: &str| reports.iter().map(|r| r.verdict_count(v)).sum::<usize>();
+        format!(
+            "abort census: {} (arch, workload) pairs, {} blame sites: tp={} tn={} over={} under={} unexplained={}",
+            reports.len(),
+            reports.iter().map(|r| r.sites.len()).sum::<usize>(),
+            verdicts("predicted-abort-and-aborted"),
+            verdicts("predicted-safe-and-safe"),
+            verdicts("over-prediction"),
+            verdicts("under-prediction"),
+            reports.iter().map(|r| r.failures()).sum::<usize>()
+        )
+    }
+
+    fn to_json(&self, arch: Architecture) -> JsonValue {
         obj(vec![
             ("arch", arch.name().into()),
             ("capacity_lines", self.capacity_lines.into()),
@@ -341,244 +566,10 @@ impl AbortsReport {
             ("sites", JsonValue::Array(self.sites.iter().map(AbortSite::to_json).collect())),
         ])
     }
-}
 
-/// Collects blame and ladder events without the ring's capacity bound.
-#[derive(Default)]
-struct Collector {
-    events: Rc<RefCell<Vec<(u64, TraceEvent)>>>,
-}
-
-impl TraceSink for Collector {
-    fn record(&mut self, _seq: u64, cycles: u64, event: &TraceEvent) {
-        match event {
-            TraceEvent::TxAbortBlame { .. } | TraceEvent::LadderStep { .. } => {
-                self.events.borrow_mut().push((cycles, event.clone()));
-            }
-            _ => {}
-        }
+    fn failures(&self) -> usize {
+        self.unexplained_under_predictions()
     }
-}
-
-/// Builds the report for `source` under `arch`.
-///
-/// Like `nomap prove` and `nomap ipa`, the guest's top level runs once and
-/// `run()` (when defined) is called `warmup` times, under tracing and
-/// profiling; guest runtime errors during warmup do not fail the report.
-/// The static half then recompiles every function through the audited FTL
-/// pipeline with footprint seeding under the interprocedural summary
-/// table.
-///
-/// # Errors
-///
-/// Returns [`VmError::Compile`] when `source` does not parse, or
-/// [`VmError::Jit`] when IR construction fails during recompilation.
-pub fn aborts_source(
-    source: &str,
-    arch: Architecture,
-    warmup: u32,
-) -> Result<AbortsReport, VmError> {
-    let mut config = VmConfig::new(arch);
-    config.sanitize = false;
-    config.seed_scope = false; // observe the real §V-C ladder
-    let mut vm = Vm::with_config(source, config)?;
-    vm.enable_profiling();
-    vm.enable_tracing(1); // the collector sink retains what we need
-    let events = Rc::new(RefCell::new(Vec::new()));
-    vm.add_trace_sink(Box::new(Collector { events: Rc::clone(&events) }));
-    let _ = vm.run_main();
-    if vm.program.function_ids.contains_key("run") {
-        for _ in 0..warmup {
-            if vm.call("run", &[]).is_err() {
-                break;
-            }
-        }
-    }
-
-    let model = arch.htm_model();
-    let capacity_lines = model.write_cache.size_bytes / model.write_cache.line_bytes;
-    let line_bytes = model.write_cache.line_bytes;
-    let mut report = AbortsReport { capacity_lines, line_bytes, ..AbortsReport::default() };
-
-    // Dynamic half: fold the collected events into per-function facts.
-    let nfuncs = vm.funcs.len();
-    let mut ladder_steps = vec![0u64; nfuncs];
-    let mut saw_call = vec![false; nfuncs];
-    let mut set_conflict = vec![false; nfuncs];
-    let mut read_set = vec![false; nfuncs];
-    let mut total_overflow = vec![false; nfuncs];
-    let mut unopt_tier = vec![false; nfuncs];
-    let mut set_faults = vec![0u64; nfuncs];
-    for (cycles, ev) in events.borrow().iter() {
-        match ev {
-            TraceEvent::LadderStep { func, saw_call: sc, .. } => {
-                if let Some(i) = usize::try_from(*func).ok().filter(|&i| i < nfuncs) {
-                    ladder_steps[i] += 1;
-                    saw_call[i] |= *sc;
-                }
-            }
-            TraceEvent::TxAbortBlame {
-                func,
-                name,
-                tier,
-                bc,
-                reason,
-                scope,
-                attempt,
-                word_addr: _,
-                line: _,
-                set,
-                set_ways,
-                read_fault,
-                write_lines,
-                write_bytes,
-                read_lines,
-                read_bytes,
-                instructions,
-            } => {
-                if let Some(i) = func.and_then(|f| usize::try_from(f).ok()).filter(|&i| i < nfuncs)
-                {
-                    if set.is_some() {
-                        set_faults[i] += 1;
-                        // The victim set overflowed its ways while the
-                        // whole write set still fit: an associativity
-                        // conflict the total-line estimator cannot see.
-                        if !read_fault && *write_lines < capacity_lines {
-                            set_conflict[i] = true;
-                        }
-                        // The faulting access was a *read* (RTM read-set
-                        // tracking): the write-footprint estimator does
-                        // not model read sets at all.
-                        if *read_fault {
-                            read_set[i] = true;
-                        }
-                        // The write set genuinely exceeded total capacity,
-                        // so the estimator's proven lower bound missed
-                        // real store traffic (non-IV addressing, nested
-                        // loops, …).
-                        if !read_fault && *write_lines > capacity_lines {
-                            total_overflow[i] = true;
-                        }
-                        if *tier != Tier::Ftl {
-                            unopt_tier[i] = true;
-                        }
-                    }
-                }
-                report.sites.push(AbortSite {
-                    cycles: *cycles,
-                    func: *func,
-                    name: name.clone(),
-                    tier: *tier,
-                    bc: *bc,
-                    reason: abort_reason_key(*reason),
-                    scope: scope.clone(),
-                    attempt: *attempt,
-                    set: *set,
-                    set_ways: *set_ways,
-                    read_fault: *read_fault,
-                    write_lines: *write_lines,
-                    write_bytes: *write_bytes,
-                    read_lines: *read_lines,
-                    read_bytes: *read_bytes,
-                    instructions: *instructions,
-                });
-            }
-            _ => {}
-        }
-    }
-
-    // Static half: the seeded audit's scope delta is the prediction.
-    let ipa = vm.summaries().clone();
-    let scope0 = if arch.uses_transactions() { TxnScope::Nest } else { TxnScope::None };
-    let passes = PassConfig::ftl();
-    let seed_opts = AuditOptions { verify: false, seed_scope: true };
-    let profile = vm.profile().cloned().unwrap_or_default();
-
-    for id in 0..nfuncs {
-        let func = vm.funcs[id].clone();
-        let fid = id as u32;
-        let audit =
-            compile_ftl_audited(&func, &mut vm.rt, arch, scope0, passes, seed_opts, Some(&ipa))?;
-        let predicted = audit.scope_used != audit.scope_requested;
-        let (advice, est_lines, unproven_loops) = match &audit.footprint {
-            Some(est) => (
-                match est.advice {
-                    ScopeAdvice::Keep => "keep".to_owned(),
-                    ScopeAdvice::Tile(t) => format!("tile({t})"),
-                    ScopeAdvice::Disable => "disable".to_owned(),
-                },
-                est.loops.iter().map(|l| l.lines_lower_bound).max().unwrap_or(0),
-                est.loops.iter().filter(|l| l.trip.is_none() && l.bytes_per_iter > 0).count()
-                    as u32,
-            ),
-            None => ("-".to_owned(), 0, 0),
-        };
-
-        let commits = profile.tx_commits.get(&fid).copied().unwrap_or(0);
-        let mut aborts = std::collections::BTreeMap::new();
-        for ((f, key), n) in &profile.aborts {
-            if *f == fid {
-                *aborts.entry(key.clone()).or_insert(0) += n;
-            }
-        }
-        let capacity = aborts.get("capacity").copied().unwrap_or(0);
-        let total_aborts: u64 = aborts.values().sum();
-        let ran_ftl = vm.code[id].ftl.is_some() || ladder_steps[id] > 0 || commits > 0;
-        if commits == 0 && total_aborts == 0 && !(predicted && ran_ftl) {
-            continue; // no transactional activity and nothing predicted
-        }
-
-        let verdict = match (predicted, capacity > 0) {
-            (true, true) => "predicted-abort-and-aborted",
-            (true, false) => "over-prediction",
-            (false, true) => "under-prediction",
-            (false, false) => "predicted-safe-and-safe",
-        };
-        let explanation = if verdict == "under-prediction" {
-            if set_conflict[id] {
-                Some("set-conflict".to_owned())
-            } else if read_set[id] {
-                Some("read-set".to_owned())
-            } else if saw_call[id] {
-                Some("callee-traffic".to_owned())
-            } else if unopt_tier[id] {
-                Some("unopt-tier".to_owned())
-            } else if unproven_loops > 0 {
-                Some("unproven-trip".to_owned())
-            } else if total_overflow[id] {
-                Some("uncounted-stores".to_owned())
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
-        report.rows.push(AbortsFnRow {
-            func: fid,
-            name: func.name.clone(),
-            commits,
-            commit_write_max: profile.commit_footprint.get(&fid).map_or(0, |h| h.max),
-            commit_read_max: profile.commit_read_footprint.get(&fid).map_or(0, |h| h.max),
-            aborts,
-            capacity,
-            set_faults: set_faults[id],
-            abort_write_max: profile.abort_footprint.get(&fid).map_or(0, |h| h.max),
-            abort_read_max: profile.abort_read_footprint.get(&fid).map_or(0, |h| h.max),
-            ladder_steps: ladder_steps[id],
-            saw_call: saw_call[id],
-            final_scope: format!("{:?}", vm.code[id].scope),
-            scope_requested: format!("{:?}", audit.scope_requested),
-            scope_seeded: format!("{:?}", audit.scope_used),
-            predicted_abort: predicted,
-            advice,
-            est_lines,
-            unproven_loops,
-            verdict: verdict.to_owned(),
-            explanation,
-        });
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -626,7 +617,7 @@ mod tests {
 
     #[test]
     fn overflow_workload_is_a_true_positive_with_blame_sites() {
-        let report = aborts_source(OVERFLOW_SRC, Architecture::NoMap, 150).unwrap();
+        let report = AbortsReport::from_source(OVERFLOW_SRC, Architecture::NoMap, 150).unwrap();
         let smash = report
             .rows
             .iter()
@@ -653,7 +644,7 @@ mod tests {
 
     #[test]
     fn runtime_bounded_overflow_is_an_explained_under_prediction() {
-        let report = aborts_source(UNPROVEN_SRC, Architecture::NoMap, 150).unwrap();
+        let report = AbortsReport::from_source(UNPROVEN_SRC, Architecture::NoMap, 150).unwrap();
         let smash = report
             .rows
             .iter()
@@ -670,7 +661,7 @@ mod tests {
 
     #[test]
     fn safe_workload_is_a_true_negative() {
-        let report = aborts_source(SAFE_SRC, Architecture::NoMap, 150).unwrap();
+        let report = AbortsReport::from_source(SAFE_SRC, Architecture::NoMap, 150).unwrap();
         let tiny =
             report.rows.iter().find(|r| r.name == "tiny").expect("tiny commits transactions");
         assert_eq!(tiny.verdict, "predicted-safe-and-safe", "{}", tiny.render());
@@ -681,7 +672,7 @@ mod tests {
 
     #[test]
     fn report_renders_and_serializes_stably() {
-        let report = aborts_source(OVERFLOW_SRC, Architecture::NoMap, 100).unwrap();
+        let report = AbortsReport::from_source(OVERFLOW_SRC, Architecture::NoMap, 100).unwrap();
         let text = report.render(5);
         assert!(text.starts_with("== calibration"));
         assert!(text.contains("== per-abort blame"));
@@ -694,7 +685,7 @@ mod tests {
 
     #[test]
     fn rtm_runs_report_read_footprints() {
-        let report = aborts_source(OVERFLOW_SRC, Architecture::NoMapRtm, 150).unwrap();
+        let report = AbortsReport::from_source(OVERFLOW_SRC, Architecture::NoMapRtm, 150).unwrap();
         // RTM tracks the read set; committed or aborted transactions of the
         // hot function must surface a nonzero read footprint somewhere.
         let any_read = report.rows.iter().any(|r| r.commit_read_max > 0 || r.abort_read_max > 0)

@@ -22,13 +22,13 @@
 
 use nomap_core::{
     compile_dfg_with_report, compile_ftl_audited, compile_ftl_with_report, Architecture,
-    AuditOptions, TxnScope,
+    AuditOptions,
 };
 use nomap_ir::passes::PassConfig;
 use nomap_trace::{obj, JsonValue};
 
+use crate::corpus::{arch_names, CorpusReport, Warmed};
 use crate::error::VmError;
-use crate::vm::{Vm, VmConfig};
 
 /// One function's row: call-graph facts, claimed summary, verdict delta.
 #[derive(Debug, Clone)]
@@ -184,9 +184,90 @@ impl IpaReport {
         out.push_str(&format!("ipa: {} function(s): {}\n", self.rows.len(), self.summary()));
         out
     }
+}
 
-    /// Whole-report JSON (the CI census artifact).
-    pub fn to_json(&self, arch: Architecture) -> JsonValue {
+impl CorpusReport for IpaReport {
+    const KIND: &'static str = "ipa";
+    const ARCHS: &'static [Architecture] = &[Architecture::NoMap];
+    const FAILURE: &'static str = "interprocedural verdict regression(s)";
+
+    /// Compiles every function twice per tier — without and with the
+    /// summary table — under the warmed profiles, like `nomap prove`.
+    fn analyze(w: &mut Warmed) -> Result<Self, VmError> {
+        let arch = w.arch();
+        let scope = w.ftl_scope();
+        let vm = &mut w.vm;
+        let ipa = vm.summaries().clone();
+        let passes = PassConfig::ftl();
+        // Footprint seeding without the verifier gauntlet: we only want
+        // `scope_used`, not a sanitizer run per compile.
+        let seed_opts = AuditOptions { verify: false, seed_scope: true };
+
+        let mut report = IpaReport::default();
+        for id in 0..vm.funcs.len() {
+            let func = vm.funcs[id].clone();
+            let fid = nomap_bytecode::FuncId(id as u32);
+            let sum = ipa.get(fid).expect("every function is summarized");
+
+            let (_, dfg_intra) = compile_dfg_with_report(&func, &mut vm.rt, None)?;
+            let (_, dfg_ipa) = compile_dfg_with_report(&func, &mut vm.rt, Some(&ipa))?;
+            let (_, ftl_intra) =
+                compile_ftl_with_report(&func, &mut vm.rt, arch, scope, passes, None)?;
+            let (_, ftl_ipa) =
+                compile_ftl_with_report(&func, &mut vm.rt, arch, scope, passes, Some(&ipa))?;
+            let seeded_intra =
+                compile_ftl_audited(&func, &mut vm.rt, arch, scope, passes, seed_opts, None)?;
+            let seeded_ipa =
+                compile_ftl_audited(&func, &mut vm.rt, arch, scope, passes, seed_opts, Some(&ipa))?;
+
+            report.rows.push(IpaFnReport {
+                func: id as u32,
+                name: func.name.clone(),
+                root: ipa.roots.contains(&fid),
+                recursive: ipa.graph.is_cyclic(ipa.graph.scc_of[&fid]),
+                callees: sum.callees.iter().map(|c| c.0).collect(),
+                ret: sum.ret.to_string(),
+                params: sum.params.iter().map(ToString::to_string).collect(),
+                effect: sum.effect.describe(),
+                clobbers: sum.clobbers,
+                elided_intra: dfg_intra.prove.total_elided() + ftl_intra.prove.total_elided(),
+                elided_ipa: dfg_ipa.prove.total_elided() + ftl_ipa.prove.total_elided(),
+                unknown_intra: dfg_intra.prove.total_unknown() + ftl_intra.prove.total_unknown(),
+                unknown_ipa: dfg_ipa.prove.total_unknown() + ftl_ipa.prove.total_unknown(),
+                scope_intra: format!("{:?}", seeded_intra.scope_used),
+                scope_ipa: format!("{:?}", seeded_ipa.scope_used),
+            });
+        }
+        Ok(report)
+    }
+
+    fn document(_arch: Architecture) -> String {
+        "ipa_census".to_owned()
+    }
+
+    fn lines(&self, id: &str, _arch: Architecture) -> Vec<String> {
+        vec![format!("{id} {}", self.summary())]
+    }
+
+    fn summary_line(archs: &[Architecture], reports: &[&Self]) -> String {
+        let sum = |f: fn(&IpaReport) -> u32| reports.iter().map(|r| u64::from(f(r))).sum::<u64>();
+        let improved = reports
+            .iter()
+            .filter(|r| r.total_elided_ipa() > r.total_elided_intra() || r.scopes_changed() > 0)
+            .count();
+        let reseeded: usize = reports.iter().map(|r| r.scopes_changed()).sum();
+        format!(
+            "ipa census: {} workloads under {}: elided {}->{} unknown {}->{} in {improved} improved workloads, {reseeded} scopes reseeded",
+            reports.len(),
+            arch_names(archs),
+            sum(IpaReport::total_elided_intra),
+            sum(IpaReport::total_elided_ipa),
+            sum(IpaReport::total_unknown_intra),
+            sum(IpaReport::total_unknown_ipa)
+        )
+    }
+
+    fn to_json(&self, arch: Architecture) -> JsonValue {
         obj(vec![
             ("arch", arch.name().into()),
             ("functions", self.rows.len().into()),
@@ -198,75 +279,15 @@ impl IpaReport {
             ("rows", JsonValue::Array(self.rows.iter().map(IpaFnReport::to_json).collect())),
         ])
     }
-}
 
-/// Builds the report for `source` under `arch`.
-///
-/// Like `nomap prove`, the guest's top level runs once and `run()` (when
-/// defined) is called `warmup` times first, so the recompiled IR carries
-/// the same speculations a real run would JIT. Guest runtime errors
-/// during warmup do not fail the report.
-///
-/// # Errors
-///
-/// Returns [`VmError::Compile`] when `source` does not parse, or
-/// [`VmError::Jit`] when IR construction fails during recompilation.
-pub fn ipa_source(source: &str, arch: Architecture, warmup: u32) -> Result<IpaReport, VmError> {
-    let mut config = VmConfig::new(arch);
-    config.sanitize = false;
-    config.seed_scope = false;
-    let mut vm = Vm::with_config(source, config)?;
-    let _ = vm.run_main();
-    if vm.program.function_ids.contains_key("run") {
-        for _ in 0..warmup {
-            if vm.call("run", &[]).is_err() {
-                break;
-            }
-        }
+    /// The summary table only ever adds facts; losing an elision or
+    /// gaining an unknown under it is a monotonicity bug.
+    fn failures(&self) -> usize {
+        usize::from(
+            self.total_elided_ipa() < self.total_elided_intra()
+                || self.total_unknown_ipa() > self.total_unknown_intra(),
+        )
     }
-
-    let ipa = vm.summaries().clone();
-    let scope = if arch.uses_transactions() { TxnScope::Nest } else { TxnScope::None };
-    let passes = PassConfig::ftl();
-    // Footprint seeding without the verifier gauntlet: we only want
-    // `scope_used`, not a sanitizer run per compile.
-    let seed_opts = AuditOptions { verify: false, seed_scope: true };
-
-    let mut report = IpaReport::default();
-    for id in 0..vm.funcs.len() {
-        let func = vm.funcs[id].clone();
-        let fid = nomap_bytecode::FuncId(id as u32);
-        let sum = ipa.get(fid).expect("every function is summarized");
-
-        let (_, dfg_intra) = compile_dfg_with_report(&func, &mut vm.rt, None)?;
-        let (_, dfg_ipa) = compile_dfg_with_report(&func, &mut vm.rt, Some(&ipa))?;
-        let (_, ftl_intra) = compile_ftl_with_report(&func, &mut vm.rt, arch, scope, passes, None)?;
-        let (_, ftl_ipa) =
-            compile_ftl_with_report(&func, &mut vm.rt, arch, scope, passes, Some(&ipa))?;
-        let seeded_intra =
-            compile_ftl_audited(&func, &mut vm.rt, arch, scope, passes, seed_opts, None)?;
-        let seeded_ipa =
-            compile_ftl_audited(&func, &mut vm.rt, arch, scope, passes, seed_opts, Some(&ipa))?;
-
-        report.rows.push(IpaFnReport {
-            func: id as u32,
-            name: func.name.clone(),
-            root: ipa.roots.contains(&fid),
-            recursive: ipa.graph.is_cyclic(ipa.graph.scc_of[&fid]),
-            callees: sum.callees.iter().map(|c| c.0).collect(),
-            ret: sum.ret.to_string(),
-            params: sum.params.iter().map(ToString::to_string).collect(),
-            effect: sum.effect.describe(),
-            clobbers: sum.clobbers,
-            elided_intra: dfg_intra.prove.total_elided() + ftl_intra.prove.total_elided(),
-            elided_ipa: dfg_ipa.prove.total_elided() + ftl_ipa.prove.total_elided(),
-            unknown_intra: dfg_intra.prove.total_unknown() + ftl_intra.prove.total_unknown(),
-            unknown_ipa: dfg_ipa.prove.total_unknown() + ftl_ipa.prove.total_unknown(),
-            scope_intra: format!("{:?}", seeded_intra.scope_used),
-            scope_ipa: format!("{:?}", seeded_ipa.scope_used),
-        });
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -289,7 +310,7 @@ mod tests {
 
     #[test]
     fn delta_census_reports_every_function() {
-        let report = ipa_source(SRC, Architecture::NoMap, 150).unwrap();
+        let report = IpaReport::from_source(SRC, Architecture::NoMap, 150).unwrap();
         assert!(report.rows.len() >= 4, "main + inc + sum + run");
         // Rows are in function-id order and the text form is stable.
         let text = report.render();
@@ -310,7 +331,7 @@ mod tests {
 
     #[test]
     fn report_serializes_with_stable_keys() {
-        let report = ipa_source(SRC, Architecture::NoMap, 50).unwrap();
+        let report = IpaReport::from_source(SRC, Architecture::NoMap, 50).unwrap();
         let json = report.to_json(Architecture::NoMap).render();
         for key in
             ["\"arch\"", "\"functions\"", "\"elided_ipa\"", "\"scopes_reseeded\"", "\"rows\""]

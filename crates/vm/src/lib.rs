@@ -30,6 +30,7 @@
 //! ```
 
 mod aborts;
+mod corpus;
 mod error;
 mod exec;
 mod interp;
@@ -41,11 +42,12 @@ mod prove;
 mod tiering;
 mod vm;
 
-pub use aborts::{aborts_source, AbortSite, AbortsFnRow, AbortsReport};
+pub use aborts::{AbortSite, AbortsFnRow, AbortsReport};
+pub use corpus::{CorpusReport, Warmed};
 pub use error::VmError;
-pub use ipa_report::{ipa_source, IpaFnReport, IpaReport};
-pub use lint::{lint_source, LintReport};
-pub use memdep_report::{memdep_source, MemdepFnReport, MemdepReport};
+pub use ipa_report::{IpaFnReport, IpaReport};
+pub use lint::{diagnostic_json, LintReport};
+pub use memdep_report::{MemdepFnReport, MemdepReport};
 pub use nomap_core::{Architecture, AuditOptions, TxnScope};
 pub use nomap_hostprof::OpcodeCensus;
 pub use nomap_ir::passes::PassConfig;
@@ -59,6 +61,6 @@ pub use nomap_trace::{
     obj, JsonValue, JsonlSink, Metrics, Recorded, TraceEvent, TraceSink, Tracer,
 };
 pub use nomap_verify::{DiagCode, Diagnostic, Severity};
-pub use prove::{prove_source, CensusClass, CensusRow, ProveReport};
+pub use prove::{CensusClass, CensusRow, ProveReport};
 pub use tiering::{TierLimit, TierThresholds};
 pub use vm::{AgentLink, Vm, VmConfig};

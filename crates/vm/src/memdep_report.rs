@@ -14,15 +14,15 @@
 
 use nomap_core::{
     compile_dfg_audited, compile_ftl_audited, compile_txn_callee_audited, Architecture,
-    AuditOptions, TxnScope,
+    AuditOptions,
 };
 use nomap_ir::passes::PassConfig;
 use nomap_ir::MemdepStats;
 use nomap_trace::{obj, JsonValue};
 use nomap_verify::Severity;
 
+use crate::corpus::{CorpusReport, Warmed};
 use crate::error::VmError;
-use crate::vm::{Vm, VmConfig};
 
 /// Check-class labels in `CheckKind::index` order.
 const CLASS_LABELS: [&str; 5] = ["bounds", "overflow", "type", "property", "other"];
@@ -134,9 +134,88 @@ impl MemdepReport {
         out.push_str(&format!("memdep: {} function(s): {}\n", self.rows.len(), self.summary()));
         out
     }
+}
 
-    /// Whole-report JSON (the CI census artifact).
-    pub fn to_json(&self, arch: Architecture) -> JsonValue {
+impl CorpusReport for MemdepReport {
+    const KIND: &'static str = "memdep";
+    const ARCHS: &'static [Architecture] =
+        &[Architecture::Base, Architecture::NoMap, Architecture::NoMapRtm, Architecture::NoMapBc];
+    const FAILURE: &'static str = "memdep-tv witness(es) failed to re-derive";
+
+    /// Compiles every function through the audited DFG and FTL pipelines
+    /// (plus the transaction-callee pipeline under transactional
+    /// architectures), under the same validated interprocedural summary
+    /// table the real VM would use, with the verifier gauntlet on — so
+    /// every eliminated load/store and sunk store in the tally has
+    /// survived `memdep-tv`.
+    fn analyze(w: &mut Warmed) -> Result<Self, VmError> {
+        let arch = w.arch();
+        let scope = w.ftl_scope();
+        let vm = &mut w.vm;
+        let ipa = vm.summaries().clone();
+        let passes = PassConfig::ftl();
+        let opts = AuditOptions { verify: true, seed_scope: false };
+
+        let mut report = MemdepReport::default();
+        for id in 0..vm.funcs.len() {
+            let func = vm.funcs[id].clone();
+            let mut stats = MemdepStats::default();
+            let mut tv_errors = 0u32;
+            let mut absorb = |audit: &nomap_core::FtlAudit| {
+                stats.merge(&audit.report.memdep);
+                tv_errors += audit
+                    .diagnostics
+                    .iter()
+                    .filter(|d| d.stage == "memdep-tv" && d.severity() == Severity::Error)
+                    .count() as u32;
+            };
+            absorb(&compile_dfg_audited(&func, &mut vm.rt, opts, Some(&ipa))?);
+            absorb(&compile_ftl_audited(&func, &mut vm.rt, arch, scope, passes, opts, Some(&ipa))?);
+            if arch.uses_transactions() {
+                absorb(&compile_txn_callee_audited(
+                    &func,
+                    &mut vm.rt,
+                    arch,
+                    passes,
+                    opts,
+                    Some(&ipa),
+                )?);
+            }
+            report.rows.push(MemdepFnReport {
+                func: id as u32,
+                name: func.name.clone(),
+                stats,
+                tv_errors,
+            });
+        }
+        Ok(report)
+    }
+
+    fn document(_arch: Architecture) -> String {
+        "memdep_census".to_owned()
+    }
+
+    fn lines(&self, id: &str, arch: Architecture) -> Vec<String> {
+        vec![format!("{:<9} {id} {}", arch.name(), self.summary())]
+    }
+
+    fn summary_line(_archs: &[Architecture], reports: &[&Self]) -> String {
+        let mut t = MemdepStats::default();
+        reports.iter().for_each(|r| t.merge(&r.totals()));
+        let crossed: Vec<String> =
+            CLASS_LABELS.iter().zip(t.crossed()).map(|(l, n)| format!("{l}:{n}")).collect();
+        format!(
+            "memdep census: {} (arch, workload) pairs: loads={} stores={} sunk={} crossed=[{}] tv_errors={}",
+            reports.len(),
+            t.loads_eliminated,
+            t.stores_eliminated,
+            t.stores_sunk,
+            crossed.join(" "),
+            reports.iter().map(|r| r.failures()).sum::<usize>()
+        )
+    }
+
+    fn to_json(&self, arch: Architecture) -> JsonValue {
         let t = self.totals();
         obj(vec![
             ("arch", arch.name().into()),
@@ -152,70 +231,10 @@ impl MemdepReport {
             ("rows", JsonValue::Array(self.rows.iter().map(MemdepFnReport::to_json).collect())),
         ])
     }
-}
 
-/// Builds the report for `source` under `arch`.
-///
-/// Every function compiles through the audited DFG and FTL pipelines
-/// (plus the transaction-callee pipeline under transactional
-/// architectures), under the same validated interprocedural summary
-/// table the real VM would use, with the verifier gauntlet on — so every
-/// eliminated load/store and sunk store in the tally has survived
-/// `memdep-tv`.
-///
-/// # Errors
-///
-/// Returns [`VmError::Compile`] when `source` does not parse, or
-/// [`VmError::Jit`] when IR construction fails during recompilation.
-pub fn memdep_source(
-    source: &str,
-    arch: Architecture,
-    warmup: u32,
-) -> Result<MemdepReport, VmError> {
-    let mut config = VmConfig::new(arch);
-    config.sanitize = false;
-    config.seed_scope = false;
-    let mut vm = Vm::with_config(source, config)?;
-    let _ = vm.run_main();
-    if vm.program.function_ids.contains_key("run") {
-        for _ in 0..warmup {
-            if vm.call("run", &[]).is_err() {
-                break;
-            }
-        }
+    fn failures(&self) -> usize {
+        self.total_tv_errors() as usize
     }
-
-    let ipa = vm.summaries().clone();
-    let scope = if arch.uses_transactions() { TxnScope::Nest } else { TxnScope::None };
-    let passes = PassConfig::ftl();
-    let opts = AuditOptions { verify: true, seed_scope: false };
-
-    let mut report = MemdepReport::default();
-    for id in 0..vm.funcs.len() {
-        let func = vm.funcs[id].clone();
-        let mut stats = MemdepStats::default();
-        let mut tv_errors = 0u32;
-        let mut absorb = |audit: &nomap_core::FtlAudit| {
-            stats.merge(&audit.report.memdep);
-            tv_errors += audit
-                .diagnostics
-                .iter()
-                .filter(|d| d.stage == "memdep-tv" && d.severity() == Severity::Error)
-                .count() as u32;
-        };
-        absorb(&compile_dfg_audited(&func, &mut vm.rt, opts, Some(&ipa))?);
-        absorb(&compile_ftl_audited(&func, &mut vm.rt, arch, scope, passes, opts, Some(&ipa))?);
-        if arch.uses_transactions() {
-            absorb(&compile_txn_callee_audited(&func, &mut vm.rt, arch, passes, opts, Some(&ipa))?);
-        }
-        report.rows.push(MemdepFnReport {
-            func: id as u32,
-            name: func.name.clone(),
-            stats,
-            tv_errors,
-        });
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -235,7 +254,7 @@ mod tests {
 
     #[test]
     fn census_fires_and_validates_on_a_field_loop() {
-        let report = memdep_source(SRC, Architecture::NoMap, 150).unwrap();
+        let report = MemdepReport::from_source(SRC, Architecture::NoMap, 150).unwrap();
         assert!(report.rows.len() >= 3, "main + hot + run");
         assert_eq!(report.total_tv_errors(), 0, "{}", report.render());
         let t = report.totals();
@@ -247,7 +266,7 @@ mod tests {
 
     #[test]
     fn report_serializes_with_stable_keys() {
-        let report = memdep_source(SRC, Architecture::NoMap, 50).unwrap();
+        let report = MemdepReport::from_source(SRC, Architecture::NoMap, 50).unwrap();
         let json = report.to_json(Architecture::NoMap).render();
         for key in
             ["\"arch\"", "\"functions\"", "\"loads_eliminated\"", "\"tv_errors\"", "\"rows\""]

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use nomap_core::{compile_dfg_with_report, compile_ftl_with_report, Architecture, TxnScope};
+use nomap_core::{compile_dfg_with_report, compile_ftl_with_report, Architecture};
 use nomap_ir::passes::PassConfig;
 use nomap_ir::ProveStats;
 use nomap_machine::CheckKind;
@@ -21,8 +21,8 @@ use nomap_profile::ProfileData;
 use nomap_trace::{check_name, obj, JsonValue};
 use nomap_verify::{DiagCode, Diagnostic};
 
+use crate::corpus::{arch_names, CorpusReport, Warmed};
 use crate::error::VmError;
-use crate::vm::{Vm, VmConfig};
 
 /// How the census classifies one (function × check-kind) site group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,17 +170,6 @@ impl ProveReport {
         self.dfg.total_proved_fail() + self.ftl.total_proved_fail()
     }
 
-    /// Rows whose checks are statically proved to fail *and* were reached
-    /// dynamically — the condition `nomap prove` gates on.
-    pub fn reachable_proved_fail(&self) -> usize {
-        self.rows.iter().filter(|r| r.class == CensusClass::ProvedFail && r.executed > 0).count()
-    }
-
-    /// True when no reachable proved-fail group exists.
-    pub fn clean(&self) -> bool {
-        self.reachable_proved_fail() == 0
-    }
-
     /// One-line totals summary (used with and without `--census`).
     pub fn summary(&self, arch: Architecture) -> String {
         format!(
@@ -210,26 +199,6 @@ impl ProveReport {
         }
         out
     }
-
-    /// Whole-report JSON (the CI census artifact).
-    pub fn to_json(&self, arch: Architecture) -> JsonValue {
-        let tier = |s: &ProveStats| {
-            obj(vec![
-                ("proved_safe", s.total_proved_safe().into()),
-                ("proved_fail", s.total_proved_fail().into()),
-                ("unknown", s.total_unknown().into()),
-                ("elided", s.total_elided().into()),
-            ])
-        };
-        obj(vec![
-            ("arch", arch.name().into()),
-            ("functions", self.functions.into()),
-            ("dfg", tier(&self.dfg)),
-            ("ftl", tier(&self.ftl)),
-            ("reachable_proved_fail", self.reachable_proved_fail().into()),
-            ("rows", JsonValue::Array(self.rows.iter().map(CensusRow::to_json).collect())),
-        ])
-    }
 }
 
 fn fold(into: &mut ProveStats, s: &ProveStats) {
@@ -255,111 +224,146 @@ fn dynamic_failures(profile: &ProfileData, func: u32, kind: CheckKind) -> u64 {
     deopts + aborts
 }
 
-/// Runs the census for `source` under `arch`.
-///
-/// The guest's top level runs once with profiling enabled, then `run()`
-/// (when defined) is called `warmup` times — this both populates the
-/// dynamic check tallies and warms the VM's speculation profiles so the
-/// recompilations below see the same IR a real run would JIT. Guest
-/// runtime errors during warmup do not fail the census.
-///
-/// # Errors
-///
-/// Returns [`VmError::Compile`] when `source` does not parse, or
-/// [`VmError::Jit`] when IR construction fails during recompilation.
-pub fn prove_source(source: &str, arch: Architecture, warmup: u32) -> Result<ProveReport, VmError> {
-    let mut config = VmConfig::new(arch);
-    config.sanitize = false;
-    config.seed_scope = false;
-    let mut vm = Vm::with_config(source, config)?;
-    vm.enable_profiling();
-    let _ = vm.run_main();
-    if vm.program.function_ids.contains_key("run") {
-        for _ in 0..warmup {
-            if vm.call("run", &[]).is_err() {
-                break;
+impl CorpusReport for ProveReport {
+    const KIND: &'static str = "prove";
+    const ARCHS: &'static [Architecture] = &[Architecture::Base, Architecture::NoMap];
+    const FAILURE: &'static str = "reachable check group(s) statically proved to fail";
+
+    /// Joins the warm-up's dynamic check tallies with the static verdicts
+    /// of a DFG and an FTL recompilation of every function.
+    fn analyze(w: &mut Warmed) -> Result<Self, VmError> {
+        let arch = w.arch();
+        let scope = w.ftl_scope();
+        let vm = &mut w.vm;
+        let profile = vm.profile().expect("profiling enabled").clone();
+        let passes = PassConfig::ftl();
+        // Recompile under the program's interprocedural summary table — the
+        // same context a real run's JIT compiles use — so the census verdicts
+        // reflect cross-function reasoning.
+        let ipa = vm.summaries().clone();
+        let mut report = ProveReport::default();
+        // (func, kind index) -> [safe, fail, unknown, elided], both tiers.
+        let mut sites: BTreeMap<(u32, usize), [u32; 4]> = BTreeMap::new();
+        let mut names: BTreeMap<u32, String> = BTreeMap::new();
+        for id in 0..vm.funcs.len() {
+            let func = vm.funcs[id].clone();
+            report.functions += 1;
+            names.insert(id as u32, func.name.clone());
+
+            let (_, dfg) = compile_dfg_with_report(&func, &mut vm.rt, Some(&ipa))?;
+            let (_, ftl) =
+                compile_ftl_with_report(&func, &mut vm.rt, arch, scope, passes, Some(&ipa))?;
+            fold(&mut report.dfg, &dfg.prove);
+            fold(&mut report.ftl, &ftl.prove);
+            for ki in 0..5 {
+                let safe = dfg.prove.proved_safe[ki] + ftl.prove.proved_safe[ki];
+                let fail = dfg.prove.proved_fail[ki] + ftl.prove.proved_fail[ki];
+                let unknown = dfg.prove.unknown[ki] + ftl.prove.unknown[ki];
+                let elided = dfg.prove.elided[ki] + ftl.prove.elided[ki];
+                if safe + fail + unknown + elided > 0 {
+                    let e = sites.entry((id as u32, ki)).or_default();
+                    e[0] += safe;
+                    e[1] += fail;
+                    e[2] += unknown;
+                    e[3] += elided;
+                }
             }
         }
-    }
-    let profile = vm.profile().expect("profiling enabled").clone();
-
-    let scope = if arch.uses_transactions() { TxnScope::Nest } else { TxnScope::None };
-    let passes = PassConfig::ftl();
-    // Recompile under the program's interprocedural summary table — the
-    // same context a real run's JIT compiles use — so the census verdicts
-    // reflect cross-function reasoning.
-    let ipa = vm.summaries().clone();
-    let mut report = ProveReport::default();
-    // (func, kind index) -> [safe, fail, unknown, elided], both tiers.
-    let mut sites: BTreeMap<(u32, usize), [u32; 4]> = BTreeMap::new();
-    let mut names: BTreeMap<u32, String> = BTreeMap::new();
-    for id in 0..vm.funcs.len() {
-        let func = vm.funcs[id].clone();
-        report.functions += 1;
-        names.insert(id as u32, func.name.clone());
-
-        let (_, dfg) = compile_dfg_with_report(&func, &mut vm.rt, Some(&ipa))?;
-        let (_, ftl) = compile_ftl_with_report(&func, &mut vm.rt, arch, scope, passes, Some(&ipa))?;
-        fold(&mut report.dfg, &dfg.prove);
-        fold(&mut report.ftl, &ftl.prove);
-        for ki in 0..5 {
-            let safe = dfg.prove.proved_safe[ki] + ftl.prove.proved_safe[ki];
-            let fail = dfg.prove.proved_fail[ki] + ftl.prove.proved_fail[ki];
-            let unknown = dfg.prove.unknown[ki] + ftl.prove.unknown[ki];
-            let elided = dfg.prove.elided[ki] + ftl.prove.elided[ki];
-            if safe + fail + unknown + elided > 0 {
-                let e = sites.entry((id as u32, ki)).or_default();
-                e[0] += safe;
-                e[1] += fail;
-                e[2] += unknown;
-                e[3] += elided;
+        // Dynamically active sites that never produced a static check (e.g.
+        // functions only ever executed at Baseline) still get a census row.
+        for &(func, kind) in profile.checks.keys() {
+            if func < vm.funcs.len() as u32 {
+                sites.entry((func, kind.index())).or_default();
             }
         }
-    }
-    // Dynamically active sites that never produced a static check (e.g.
-    // functions only ever executed at Baseline) still get a census row.
-    for &(func, kind) in profile.checks.keys() {
-        if func < vm.funcs.len() as u32 {
-            sites.entry((func, kind.index())).or_default();
+
+        for ((func, ki), [safe, fail, unknown, elided]) in sites {
+            let kind = CheckKind::ALL[ki];
+            let name = names.get(&func).cloned().unwrap_or_else(|| format!("#{func}"));
+            let mut row = CensusRow {
+                func,
+                name,
+                kind,
+                proved_safe: safe,
+                proved_fail: fail,
+                unknown,
+                elided,
+                executed: profile.checks.get(&(func, kind)).copied().unwrap_or(0),
+                failures: dynamic_failures(&profile, func, kind),
+                class: CensusClass::Cold,
+            };
+            row.class = row.classify();
+            if row.class == CensusClass::QuietUnproved {
+                let mut d = Diagnostic::new(
+                    DiagCode::CheckQuietUnproved,
+                    &row.name,
+                    None,
+                    None,
+                    format!(
+                        "{} {} check(s) executed {} time(s) without failing but {} remain unproved",
+                        row.unknown + row.proved_safe,
+                        check_name(kind),
+                        row.executed,
+                        row.unknown
+                    ),
+                );
+                d.stage = "census".to_owned();
+                report.diagnostics.push(d);
+            }
+            report.rows.push(row);
         }
+        Ok(report)
     }
 
-    for ((func, ki), [safe, fail, unknown, elided]) in sites {
-        let kind = CheckKind::ALL[ki];
-        let name = names.get(&func).cloned().unwrap_or_else(|| format!("#{func}"));
-        let mut row = CensusRow {
-            func,
-            name,
-            kind,
-            proved_safe: safe,
-            proved_fail: fail,
-            unknown,
-            elided,
-            executed: profile.checks.get(&(func, kind)).copied().unwrap_or(0),
-            failures: dynamic_failures(&profile, func, kind),
-            class: CensusClass::Cold,
+    fn document(arch: Architecture) -> String {
+        format!("prove_corpus_{}", arch.name().to_ascii_lowercase())
+    }
+
+    fn lines(&self, id: &str, _arch: Architecture) -> Vec<String> {
+        vec![format!(
+            "{id} elided={} proved_safe={} proved_fail={} unknown={}",
+            self.total_elided(),
+            self.total_proved_safe(),
+            self.total_proved_fail(),
+            self.total_unknown()
+        )]
+    }
+
+    fn summary_line(archs: &[Architecture], reports: &[&Self]) -> String {
+        let elided: u64 = reports.iter().map(|r| u64::from(r.total_elided())).sum();
+        let with_elisions = reports.iter().filter(|r| r.total_elided() > 0).count();
+        let reachable_fail: usize = reports.iter().map(|r| r.failures()).sum();
+        format!(
+            "proved {} workloads under {}: {elided} checks elided in {with_elisions} workloads, {reachable_fail} reachable proved-fail groups",
+            reports.len(),
+            arch_names(archs)
+        )
+    }
+
+    fn to_json(&self, arch: Architecture) -> JsonValue {
+        let tier = |s: &ProveStats| {
+            obj(vec![
+                ("proved_safe", s.total_proved_safe().into()),
+                ("proved_fail", s.total_proved_fail().into()),
+                ("unknown", s.total_unknown().into()),
+                ("elided", s.total_elided().into()),
+            ])
         };
-        row.class = row.classify();
-        if row.class == CensusClass::QuietUnproved {
-            let mut d = Diagnostic::new(
-                DiagCode::CheckQuietUnproved,
-                &row.name,
-                None,
-                None,
-                format!(
-                    "{} {} check(s) executed {} time(s) without failing but {} remain unproved",
-                    row.unknown + row.proved_safe,
-                    check_name(kind),
-                    row.executed,
-                    row.unknown
-                ),
-            );
-            d.stage = "census".to_owned();
-            report.diagnostics.push(d);
-        }
-        report.rows.push(row);
+        obj(vec![
+            ("arch", arch.name().into()),
+            ("functions", self.functions.into()),
+            ("dfg", tier(&self.dfg)),
+            ("ftl", tier(&self.ftl)),
+            ("reachable_proved_fail", self.failures().into()),
+            ("rows", JsonValue::Array(self.rows.iter().map(CensusRow::to_json).collect())),
+        ])
     }
-    Ok(report)
+
+    /// Rows whose checks are statically proved to fail *and* were reached
+    /// dynamically.
+    fn failures(&self) -> usize {
+        self.rows.iter().filter(|r| r.class == CensusClass::ProvedFail && r.executed > 0).count()
+    }
 }
 
 #[cfg(test)]
@@ -379,8 +383,8 @@ mod tests {
 
     #[test]
     fn census_joins_static_and_dynamic_evidence() {
-        let report = prove_source(SRC, Architecture::NoMap, 150).unwrap();
-        assert!(report.clean(), "unexpected reachable proved-fail rows");
+        let report = ProveReport::from_source(SRC, Architecture::NoMap, 150).unwrap();
+        assert_eq!(report.failures(), 0, "unexpected reachable proved-fail rows");
         assert!(report.functions >= 3, "main + sum + run");
         assert!(!report.rows.is_empty());
         // The hot loop's checks executed; the join must see them.
@@ -400,15 +404,15 @@ mod tests {
             function run() { return f(200); }
         ";
         for arch in Architecture::ALL {
-            let report = prove_source(src, arch, 150).unwrap();
+            let report = ProveReport::from_source(src, arch, 150).unwrap();
             assert!(report.total_elided() > 0, "{arch:?}: no elisions\n{:#?}", report.rows);
-            assert!(report.clean(), "{arch:?}");
+            assert_eq!(report.failures(), 0, "{arch:?}");
         }
     }
 
     #[test]
     fn report_serializes_with_stable_keys() {
-        let report = prove_source(SRC, Architecture::NoMap, 50).unwrap();
+        let report = ProveReport::from_source(SRC, Architecture::NoMap, 50).unwrap();
         let json = report.to_json(Architecture::NoMap).render();
         for key in ["\"arch\"", "\"functions\"", "\"dfg\"", "\"ftl\"", "\"rows\"", "\"class\""] {
             assert!(json.contains(key), "missing {key} in {json}");
@@ -421,7 +425,7 @@ mod tests {
     #[test]
     fn prove_rejects_bad_source() {
         assert!(matches!(
-            prove_source("function f( {", Architecture::NoMap, 0),
+            ProveReport::from_source("function f( {", Architecture::NoMap, 0),
             Err(VmError::Compile(_))
         ));
     }

@@ -20,6 +20,7 @@
 //! # Ok::<(), nomap_vm::VmError>(())
 //! ```
 
+pub mod census;
 pub mod contention;
 pub mod fleet;
 mod harness;

@@ -6,14 +6,14 @@
 //! kernels really do overwhelm the HTM; that is what the §V-C ladder is
 //! for).
 
-use nomap_vm::{lint_source, Architecture};
+use nomap_vm::{Architecture, CorpusReport, LintReport};
 use nomap_workloads::{kraken, shootout, sunspider, Workload};
 
 fn lint_all(arch: Architecture, warmup: u32) {
     let suites: [&[Workload]; 3] = [&sunspider(), &kraken(), &shootout()];
     let mut linted = 0;
     for w in suites.iter().flat_map(|s| s.iter()) {
-        let report = lint_source(w.source, arch, warmup)
+        let report = LintReport::from_source(w.source, arch, warmup)
             .unwrap_or_else(|e| panic!("{} failed to lint: {e}", w.id));
         assert!(
             report.clean(),
